@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from .game import (
     apply_potential,
     parse_game,
     parse_potential,
+    preprocess_no_zero_cycles,
     serialize_game,
 )
 from .generators import GenParams, Model, gen_random
@@ -45,6 +47,9 @@ _POLICIES = {p.value: p for p in Policy}
 _MODELS = {m.value: m for m in Model}
 _ASSERT_LEVELS = {"off": AssertLevel.OFF, "cheap": AssertLevel.CHEAP, "full": AssertLevel.FULL}
 
+#: Every (opt_init, opt_bulk, remember_potentials) combination.
+_OPT_COMBOS = [(i, b, r) for i in (False, True) for b in (False, True) for r in (False, True)]
+
 BENCH_HEADER = (
     "instance,n,m,W,policy,opt_init,opt_bulk,remember,wall_us,recursive_calls,"
     "loop_iterations,escapes_fixed,bulk_fixed,attractor_calls,"
@@ -62,15 +67,21 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args) -> SolverConfig:
-    level = os.environ.get("MPG_ASSERT", args.assert_level).lower()
+    """The one place a SolverConfig is built from parsed arguments.
+
+    A flag the subcommand does not have takes the SolverConfig default; the
+    MPG_ASSERT environment variable overrides ``--assert``.
+    """
+    flag = vars(args).get
+    level = os.environ.get("MPG_ASSERT", flag("assert_level", "cheap")).lower()
     if level not in _ASSERT_LEVELS:
         raise GameError(f"unknown assertion level {level!r}")
     return SolverConfig(
-        policy=_POLICIES[args.policy],
-        opt_init=args.opt_init,
-        opt_bulk=args.opt_bulk,
-        remember_potentials=args.remember_potentials,
-        threshold_mode=ThresholdMode.STRICT if args.strict_threshold else ThresholdMode.WEAK,
+        policy=_POLICIES[flag("policy", Policy.SMALLER_ZONE.value)],
+        opt_init=flag("opt_init", False),
+        opt_bulk=flag("opt_bulk", False),
+        remember_potentials=flag("remember_potentials", False),
+        threshold_mode=ThresholdMode.STRICT if flag("strict_threshold") else ThresholdMode.WEAK,
         assertions=_ASSERT_LEVELS[level],
     )
 
@@ -150,7 +161,9 @@ def cmd_zones(args) -> int:
 def cmd_check(args) -> int:
     g = _load_game(args.game)
     phi = parse_potential(Path(args.potential).read_bytes(), g)
-    relabeled = apply_potential(g, phi)
+    # `solve` certifies the zero-cycle-free reweighting, so check that game.
+    mode = ThresholdMode.STRICT if args.strict_threshold else ThresholdMode.WEAK
+    relabeled = apply_potential(preprocess_no_zero_cycles(g, mode), phi)
     z = compute_zones(relabeled)
     reduced = is_reduced(relabeled, z)
     doc = {
@@ -183,28 +196,13 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _all_configs(mode: ThresholdMode, level: AssertLevel) -> list:
-    configs = []
-    for policy in Policy:
-        for opt_init in (False, True):
-            for opt_bulk in (False, True):
-                for remember in (False, True):
-                    configs.append(
-                        SolverConfig(
-                            policy=policy,
-                            opt_init=opt_init,
-                            opt_bulk=opt_bulk,
-                            remember_potentials=remember,
-                            threshold_mode=mode,
-                            assertions=level,
-                        )
-                    )
-    return configs
-
-
 def cmd_diff(args) -> int:
-    level = _ASSERT_LEVELS[os.environ.get("MPG_ASSERT", "cheap").lower()]
-    configs = _all_configs(ThresholdMode.WEAK, level)
+    base = _config_from_args(args)
+    configs = [
+        replace(base, policy=policy, opt_init=i, opt_bulk=b, remember_potentials=r)
+        for policy in Policy
+        for i, b, r in _OPT_COMBOS
+    ]
     agree = 0
     for i in range(args.count):
         n = 2 + i % max(args.max_n - 1, 1)
@@ -239,29 +237,23 @@ def _bench_instances(args) -> list:
 
 
 def cmd_bench(args) -> int:
+    base = _config_from_args(args)
     instances = _bench_instances(args)
-    policies = [_POLICIES[p] for p in (args.policy or [Policy.SMALLER_ZONE.value])]
+    policies = [_POLICIES[p] for p in args.policies] if args.policies else [base.policy]
     if args.sweep_opts:
-        opt_combos = [
-            (i, b, r) for i in (False, True) for b in (False, True) for r in (False, True)
-        ]
+        opt_combos = _OPT_COMBOS
     else:
-        opt_combos = [(args.opt_init, args.opt_bulk, args.remember_potentials)]
+        opt_combos = [(base.opt_init, base.opt_bulk, base.remember_potentials)]
     rows = []
     for name, game in instances:
         for policy in policies:
             for opt_init, opt_bulk, remember in opt_combos:
-                cfg = SolverConfig(
+                cfg = replace(
+                    base,
                     policy=policy,
                     opt_init=opt_init,
                     opt_bulk=opt_bulk,
                     remember_potentials=remember,
-                    threshold_mode=ThresholdMode.STRICT
-                    if args.strict_threshold
-                    else ThresholdMode.WEAK,
-                    assertions=_ASSERT_LEVELS[
-                        os.environ.get("MPG_ASSERT", args.assert_level).lower()
-                    ],
                 )
                 start = time.perf_counter_ns()
                 res = solve_threshold(game, cfg)
@@ -303,9 +295,16 @@ def build_parser() -> argparse.ArgumentParser:
     zones.add_argument("game")
     zones.set_defaults(func=cmd_zones)
 
-    check = subs.add_parser("check", help="verify a potential file as a certificate")
+    check = subs.add_parser(
+        "check", help="verify a potential file as a certificate of the reweighted game"
+    )
     check.add_argument("game")
     check.add_argument("potential")
+    check.add_argument(
+        "--strict-threshold",
+        action="store_true",
+        help="the potential certifies the STRICT reweighting, as from solve --strict-threshold",
+    )
     check.set_defaults(func=cmd_check)
 
     gen = subs.add_parser("gen", help="generate a random game")
@@ -342,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--min-fraction", default="1/2")
     bench.add_argument("--model", choices=sorted(_MODELS), default=Model.UNIFORM.value)
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--policy", action="append", choices=sorted(_POLICIES))
+    bench.add_argument("--policy", dest="policies", action="append", choices=sorted(_POLICIES))
     bench.add_argument("--opt-init", action="store_true")
     bench.add_argument("--opt-bulk", action="store_true")
     bench.add_argument("--remember-potentials", action="store_true")

@@ -67,6 +67,23 @@ class SolverConfig:
 
 @dataclass
 class Stats:
+    """Work counters of one ``reduce_game`` call, one meaning each.
+
+    * ``recursive_calls``: frame entries plus relabel restarts, so frames =
+      ``recursive_calls - potential_reductions``.
+    * ``loop_iterations``: passes of the escape loop, each one backtracking
+      run over the finished set.
+    * ``escapes_fixed``: vertices finished one at a time by an optimal escape
+      (``opt_bulk`` off).
+    * ``bulk_fixed``: vertices finished by whole good-escape sets
+      (``opt_bulk`` on).
+    * ``attractor_calls``: escape loops that ended by splitting off the
+      attractor of a subgame region that has no escape edge.
+    * ``potential_reductions``: relabel restarts, each after an escape loop
+      gave every vertex of its frame a finite peak value.
+    * ``max_depth``: deepest frame below the root (the root is depth 0).
+    """
+
     recursive_calls: int = 0
     loop_iterations: int = 0
     escapes_fixed: int = 0
@@ -479,10 +496,20 @@ def solve_threshold(
 def solve_values(g: Game, cfg: SolverConfig | None = None) -> ValueResult:
     """Exact per-vertex values via threshold dichotomy on scaled games.
 
-    Testing "value <= p/q" solves the threshold problem on the same structure
-    with weights q*w - p.  An integer bisection brackets each value between
-    consecutive integers, then a mediant descent narrows the bracket until a
-    single rational with denominator <= n remains.
+    Testing "value <= p/q" solves the WEAK threshold problem on the same
+    structure with weights q*w - p.  An integer bisection brackets each value
+    in (c-1, c]; one STRICT solve of w - c then settles every vertex whose
+    value is exactly c.  The rest descend the Stern-Brocot tree.  Inside a
+    bracket (a/b, c/d] of Farey neighbours, the next-level fractions with
+    denominator <= n form one sorted chain
+
+        (k*a+c)/(k*b+d) for k = K_L..2,  (a+c)/(b+d),  (a+k*c)/(b+k*d) for k = 2..K_R,
+
+    whose consecutive members are again Farey neighbours.  Each vertex's link
+    in the chain is found by galloping out from the mediant (steps of 1, 2,
+    4, ...) and then bisecting, so a run of k mediants costs O(log k) probes
+    instead of k.  A link whose own mediant has denominator > n contains one
+    fraction of denominator <= n, its upper end, which is the value.
     """
     cfg = cfg or SolverConfig()
     n = g.n
@@ -490,43 +517,86 @@ def solve_values(g: Game, cfg: SolverConfig | None = None) -> ValueResult:
         return ValueResult({})
     w_bound = g.W
 
-    def below_or_at(p: int, q: int) -> frozenset:
+    def probe(p: int, q: int, mode: ThresholdMode) -> SolveResult:
         scaled = g.with_weights([q * w - p for w in g.eweight])
-        sub_cfg = replace(cfg, threshold_mode=ThresholdMode.WEAK)
-        return solve_threshold(scaled, sub_cfg).min_region
+        return solve_threshold(scaled, replace(cfg, threshold_mode=mode))
+
+    def split(verts: tuple, inside: frozenset) -> tuple:
+        return (
+            tuple(v for v in verts if v in inside),
+            tuple(v for v in verts if v not in inside),
+        )
 
     values: dict = {}
-    # Integer phase: smallest integer c with value <= c, per group of vertices.
-    groups = [(tuple(range(n)), -w_bound - 1, w_bound)]
-    brackets = []
-    while groups:
-        verts, lo, hi = groups.pop()
-        if hi - lo == 1:
-            brackets.append((verts, lo, 1, hi, 1))
-            continue
-        mid = (lo + hi) // 2
-        inside = below_or_at(mid, 1)
-        left = tuple(v for v in verts if v in inside)
-        right = tuple(v for v in verts if v not in inside)
-        if left:
-            groups.append((left, lo, mid))
-        if right:
-            groups.append((right, mid, hi))
-    # Mediant phase: value lies in (a/b, c/d]; stop once the mediant's
-    # denominator exceeds n, leaving c/d as the only candidate.
-    while brackets:
-        verts, a, b, c, d = brackets.pop()
+    # A search is (vertices, a, b, c, d, lo, hi, step): the values lie in
+    # (x(lo), x(hi)] for positions of the chain of bracket (a/b, c/d], where
+    # position -K_L is a/b, 0 the mediant and K_R is c/d.  ``step`` is 0 to
+    # probe the mediant next, +s or -s to gallop right or left by s, and None
+    # to bisect.
+    searches = []
+
+    def descend(verts: tuple, a: int, b: int, c: int, d: int, top: int = 0) -> None:
+        """Search (a/b, c/d], leaving out the ``top`` highest chain positions."""
         if b + d > n:
             value = Fraction(c, d)
             for v in verts:
                 values[v] = value
+        else:
+            searches.append((verts, a, b, c, d, -((n - d) // b), (n - b) // d - top, 0))
+
+    # Integer phase: smallest integer c with value <= c, per group of vertices.
+    groups = [(tuple(range(n)), -w_bound - 1, w_bound)]
+    while groups:
+        verts, lo, hi = groups.pop()
+        if hi - lo > 1:
+            mid = (lo + hi) // 2
+            left, right = split(verts, probe(mid, 1, ThresholdMode.WEAK).min_region)
+            if left:
+                groups.append((left, lo, mid))
+            if right:
+                groups.append((right, mid, hi))
+        else:
+            # STRICT puts value-hi vertices on the Max side of w - hi.
+            exact, rest = split(verts, probe(hi, 1, ThresholdMode.STRICT).max_region)
+            value = Fraction(hi)
+            for v in exact:
+                values[v] = value
+            if rest:
+                # Below hi with denominator <= n means at most hi - 1/n, the
+                # chain position just under hi.
+                descend(rest, lo, 1, hi, 1, top=1)
+    while searches:
+        verts, a, b, c, d, lo, hi, step = searches.pop()
+        if hi - lo == 1:
+            descend(verts, *_chain_at(a, b, c, d, n, lo), *_chain_at(a, b, c, d, n, hi))
             continue
-        p, q = a + c, b + d
-        inside = below_or_at(p, q)
-        left = tuple(v for v in verts if v in inside)
-        right = tuple(v for v in verts if v not in inside)
+        # Probe position t; the side the gallop ran toward keeps galloping,
+        # the side it overshot bisects.
+        if step is None:
+            t, lstep, rstep = (lo + hi) // 2, None, None
+        elif step > 0:
+            t, lstep, rstep = min(lo + step, hi - 1), None, 2 * step
+        elif step < 0:
+            t, lstep, rstep = max(hi + step, lo + 1), 2 * step, None
+        else:
+            t, lstep, rstep = 0, -1, 1
+        inside = probe(*_chain_at(a, b, c, d, n, t), ThresholdMode.WEAK).min_region
+        left, right = split(verts, inside)
         if left:
-            brackets.append((left, a, b, p, q))
+            searches.append((left, a, b, c, d, lo, t, lstep))
         if right:
-            brackets.append((right, p, q, c, d))
+            searches.append((right, a, b, c, d, t, hi, rstep))
     return ValueResult(values)
+
+
+def _chain_at(a: int, b: int, c: int, d: int, n: int, t: int) -> tuple:
+    """Numerator and denominator at position ``t`` of the chain of (a/b, c/d].
+
+    Position 0 is the mediant, -k+1 is (k*a+c)/(k*b+d) and k-1 is
+    (a+k*c)/(b+k*d); one step past the last denominator <= n on either side
+    is the bracket's end, a/b or c/d.
+    """
+    k = 1 + abs(t)
+    if t <= 0:
+        return (a, b) if k * b + d > n else (k * a + c, k * b + d)
+    return (c, d) if b + k * d > n else (a + k * c, b + k * d)

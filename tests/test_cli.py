@@ -14,7 +14,8 @@ import pytest
 
 import mpg
 from mpg import parse_game, serialize_game, serialize_potential, solve_threshold
-from mpg.cli import BENCH_HEADER, main
+from mpg.cli import BENCH_HEADER, _config_from_args, build_parser, main
+from mpg.solver import AssertLevel, SolverConfig
 from conftest import G3_TEXT, G4_TEXT, G5_TEXT
 
 
@@ -120,13 +121,21 @@ class TestZones:
         }
 
 
+def _potential_file(path: Path, solve_json: str) -> str:
+    """Write the potential of `solve --json` output as a potential file."""
+    potential = json.loads(solve_json)["potential"]
+    path.write_text("".join(f"{v} {x}\n" for v, x in potential.items()))
+    return str(path)
+
+
 class TestCheck:
     def test_valid_certificate(self, tmp_path, capsys):
         game = parse_game(G3_TEXT)
         gpath = tmp_path / "g.mpg"
         gpath.write_bytes(serialize_game(game))
         ppath = tmp_path / "phi.pot"
-        ppath.write_bytes(serialize_potential(game, {0: 2, 1: 0}))
+        # The potential `solve --json` emits for G3; it certifies (n+1)*w - 1.
+        ppath.write_bytes(serialize_potential(game, {0: 5, 1: 0}))
         assert main(["check", str(gpath), str(ppath)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["reduced"] is True
@@ -140,6 +149,60 @@ class TestCheck:
         assert main(["check", str(gpath), str(ppath)]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["reduced"] is False
+
+    @pytest.mark.parametrize("flags", [[], ["--strict-threshold"]], ids=["weak", "strict"])
+    def test_solve_then_check_round_trip(self, flags, tmp_path, capsys):
+        models = ("uniform", "cycle-heavy", "layered")
+        for seed in range(30):
+            gpath = tmp_path / f"g{seed}.mpg"
+            n = 30 if seed == 3 else 2 + seed
+            gen = ["gen", "--n", str(n), "--seed", str(seed), "--model", models[seed % 3]]
+            assert main([*gen, "-o", str(gpath)]) == 0
+            assert main(["solve", "--json", str(gpath), *flags]) == 0
+            out = capsys.readouterr().out
+            solved = json.loads(out)
+            ppath = _potential_file(tmp_path / f"g{seed}.pot", out)
+            assert main(["check", str(gpath), ppath, *flags]) == 0, seed
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["reduced"] is True
+            assert doc["min_region"] == solved["min_region"], seed
+            assert doc["max_region"] == solved["max_region"], seed
+
+    def test_strict_certificate_needs_the_strict_flag(self, g4_file, tmp_path, capsys):
+        assert main(["solve", "--json", "--strict-threshold", g4_file]) == 0
+        ppath = _potential_file(tmp_path / "g4.pot", capsys.readouterr().out)
+        assert main(["check", "--strict-threshold", g4_file, ppath]) == 0
+        assert json.loads(capsys.readouterr().out)["max_region"] == [0, 1]
+        main(["check", g4_file, ppath])
+        assert json.loads(capsys.readouterr().out)["max_region"] != [0, 1]
+
+
+class TestConfigFromArgs:
+    @pytest.mark.parametrize(
+        "argv",
+        [["diff", "--count", "1"], ["bench", "--count", "1", "--n", "4", "--csv", "out.csv"]],
+        ids=["diff", "bench"],
+    )
+    def test_unknown_assert_env_is_an_input_error(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("MPG_ASSERT", "bogus")
+        assert main(argv) == 2
+        assert "error: unknown assertion level" in capsys.readouterr().err
+
+    def test_bench_flags_build_the_same_config(self):
+        args = build_parser().parse_args(
+            ["bench", "--csv", "x.csv", "--opt-init", "--opt-bulk",
+             "--remember-potentials", "--assert", "off"]
+        )
+        assert _config_from_args(args) == SolverConfig(
+            opt_init=True, opt_bulk=True, remember_potentials=True,
+            assertions=AssertLevel.OFF,
+        )
+
+    def test_diff_uses_the_default_config(self, monkeypatch):
+        monkeypatch.delenv("MPG_ASSERT", raising=False)
+        args = build_parser().parse_args(["diff"])
+        assert _config_from_args(args) == SolverConfig()
 
 
 class TestGen:

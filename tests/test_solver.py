@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import mpg.solver as solver_module
 from mpg import (
     AssertLevel,
     Game,
@@ -22,6 +23,7 @@ from mpg import (
     dual_game,
     gen_random,
     GenParams,
+    Model,
     glue_delta,
     is_reduced,
     parse_game,
@@ -34,6 +36,19 @@ from mpg import (
 from conftest import small_corpus
 
 FULL = SolverConfig(assertions=AssertLevel.FULL)
+
+
+def count_probes(monkeypatch) -> list:
+    """Record the weight bound W of every threshold solve ``solve_values`` runs."""
+    calls = []
+    real = solver_module.solve_threshold
+
+    def counted(game, cfg=None, **kwargs):
+        calls.append(game.W)
+        return real(game, cfg, **kwargs)
+
+    monkeypatch.setattr(solver_module, "solve_threshold", counted)
+    return calls
 
 
 def no_zero_cycles(count, seed0, max_n=7, weight_bound=4):
@@ -250,6 +265,47 @@ class TestSolveValues:
             for value in solve_values(g).values.values():
                 assert abs(value) <= g.W
                 assert 1 <= value.denominator <= g.n
+
+    @pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
+    def test_matches_cycle_mean_oracle_up_to_nine_vertices(self, model):
+        for g in small_corpus(120, seed0=18, max_n=9, model=model):
+            assert solve_values(g).values == brute_force_solve(g).values
+
+    def test_longest_mediant_runs(self, monkeypatch):
+        # One n-cycle of total weight t has value t/n at every vertex; the
+        # totals +-1 and +-(n-1) sit at the far end of the left or right run
+        # of their integer bracket.
+        calls = count_probes(monkeypatch)
+        for n in range(2, 41):
+            for total in (1, n - 1, -1, -(n - 1)):
+                owners = [Player.MIN if v % 2 else Player.MAX for v in range(n)]
+                g = Game(owners, [(v, (v + 1) % n, total if v == 0 else 0) for v in range(n)])
+                calls.clear()
+                assert solve_values(g).values == {v: Fraction(total, n) for v in range(n)}
+                # Integer bisection over (-W-1, W], one STRICT probe, then a
+                # gallop and a bisection over a chain of fewer than n fractions.
+                assert len(calls) <= 3 * n.bit_length() + 2, (n, total, len(calls))
+
+    def test_integer_values_take_logarithmically_many_probes(self, monkeypatch):
+        # Self-loops of weight -4..4 plus a zero-weight Hamiltonian cycle:
+        # every cycle mean, hence every value, is an integer.
+        n = 200
+        owners = [Player.MIN if v % 3 else Player.MAX for v in range(n)]
+        edges = [(v, v, (7 * v) % 9 - 4) for v in range(n)]
+        edges += [(v, (v + 1) % n, 0) for v in range(n)]
+        g = Game(owners, edges)
+        calls = count_probes(monkeypatch)
+        cfg = SolverConfig(
+            policy=Policy.LARGER_ZONE, opt_init=True, opt_bulk=True, remember_potentials=True
+        )
+        values = solve_values(g, cfg).values
+        distinct = set(values.values())
+        assert all(x.denominator == 1 for x in distinct) and len(distinct) > 1
+        # Each value: its integer bisection path plus one STRICT probe.  A walk
+        # down the mediants would take about n probes per value instead.
+        assert len(calls) <= len(distinct) * ((2 * g.W + 1).bit_length() + 1)
+        # Probed fractions p/q keep q <= n and |p/q| <= W + 1.
+        assert max(calls) <= n * (2 * g.W + 1)
 
 
 class TestDeriveStrategies:
