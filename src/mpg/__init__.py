@@ -52,8 +52,6 @@ from .solver import (
     SolverConfig,
     Stats,
     ValueResult,
-    derive_strategies,
-    glue_delta,
     reduce_game,
     solve_threshold,
     solve_values,

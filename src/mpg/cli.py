@@ -62,7 +62,6 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--opt-init", action="store_true")
     sub.add_argument("--opt-bulk", action="store_true")
     sub.add_argument("--remember-potentials", action="store_true")
-    sub.add_argument("--strict-threshold", action="store_true")
     sub.add_argument("--assert", dest="assert_level", choices=sorted(_ASSERT_LEVELS), default="cheap")
 
 
@@ -283,6 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve = subs.add_parser("solve", help="winning regions of a game file")
     solve.add_argument("game")
     solve.add_argument("--json", action="store_true")
+    solve.add_argument("--strict-threshold", action="store_true")
     _add_config_flags(solve)
     solve.set_defaults(func=cmd_solve)
 

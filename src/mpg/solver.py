@@ -18,7 +18,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from math import gcd
+from typing import Callable
 
 from .backtracking import (
     SolverInternalError,
@@ -110,7 +111,7 @@ class SolveResult:
     stats: Stats
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValueResult:
     """Exact mean-payoff value per vertex, each a reduced Fraction."""
 
@@ -402,39 +403,6 @@ def reduce_game(
     return derive_strategies(g, result)
 
 
-def glue_delta(
-    g: Game,
-    gprime: Iterable,
-    a: Iterable,
-    phi_a: Mapping,
-    phi_prime: Mapping,
-) -> int:
-    """Shift added to the attractor potential so both halves glue soundly.
-
-    With A a Min trap carrying a positively reducing potential and the rest a
-    Max trap with its own reducing potential, shifting the attractor side by
-    the returned delta makes every crossing edge's modified weight >= 0, so
-    the combined labeling reduces the whole game.  Games without crossing
-    edges need no shift.
-    """
-    a_set = set(a)
-    g_set = set(gprime)
-    if a_set & g_set or (a_set | g_set) != set(range(g.n)):
-        raise ValueError("gprime and a must partition the game's vertices")
-    min_w = None
-    for e in range(g.m):
-        if g.esrc[e] in g_set and g.edst[e] in a_set:
-            if min_w is None or g.eweight[e] < min_w:
-                min_w = g.eweight[e]
-    if min_w is None:
-        return 0
-    return (
-        -min_w
-        - min(phi_a.get(v, 0) for v in a_set)
-        + max(phi_prime.get(v, 0) for v in g_set)
-    )
-
-
 def derive_strategies(g: Game, res: SolveResult) -> SolveResult:
     """Fill positional strategies from the certificate.
 
@@ -494,32 +462,76 @@ def solve_threshold(
 
 
 def solve_values(g: Game, cfg: SolverConfig | None = None) -> ValueResult:
-    """Exact per-vertex values via threshold dichotomy on scaled games.
+    """Exact per-vertex values via threshold dichotomy on band subgames.
 
     Testing "value <= p/q" solves the WEAK threshold problem on the same
-    structure with weights q*w - p.  An integer bisection brackets each value
-    in (c-1, c]; one STRICT solve of w - c then settles every vertex whose
-    value is exactly c.  The rest descend the Stern-Brocot tree.  Inside a
-    bracket (a/b, c/d] of Farey neighbours, the next-level fractions with
-    denominator <= n form one sorted chain
+    structure with weights q*w - p.  Every search group is a band: exactly
+    the vertices whose values lie in its bracket (lo, hi].  Each Max edge of
+    a band vertex leads to a value <= hi and each Min edge to a value > lo,
+    so both players' optimal moves stay inside and the band induces a
+    subgame with the same values.  Each probe therefore solves only
+    ``restrict(g, band)``, and values in a band of k vertices have
+    denominators <= k, so k replaces n as the bound below.
+
+    After every probe, fixing the certificate's Min strategy on its Min
+    region leaves a one-player game whose best reachable cycle mean bounds
+    each value from above; Max's strategy dually bounds it from below.  A
+    vertex whose tightest bounds meet is settled, and a band whose vertices
+    are all settled is not probed again.  Settled vertices stay in their band
+    so that it remains a subgame.
+
+    Vertices the bounds leave open go on through the search.  An integer
+    bisection brackets each value in (c-1, c]; one STRICT solve of w - c then
+    settles every vertex whose value is exactly c.  The rest descend the
+    Stern-Brocot tree.  Inside a bracket (a/b, c/d] of Farey neighbours, the
+    next-level fractions with denominator <= k form one sorted chain
 
         (k*a+c)/(k*b+d) for k = K_L..2,  (a+c)/(b+d),  (a+k*c)/(b+k*d) for k = 2..K_R,
 
     whose consecutive members are again Farey neighbours.  Each vertex's link
     in the chain is found by galloping out from the mediant (steps of 1, 2,
     4, ...) and then bisecting, so a run of k mediants costs O(log k) probes
-    instead of k.  A link whose own mediant has denominator > n contains one
-    fraction of denominator <= n, its upper end, which is the value.
+    instead of k.  A link whose own mediant has denominator > k contains one
+    fraction of denominator <= k, its upper end, which is the value.
     """
     cfg = cfg or SolverConfig()
     n = g.n
     if n == 0:
         return ValueResult({})
     w_bound = g.W
+    cheap = cfg.assertions >= AssertLevel.CHEAP
+    # Reduced (numerator, denominator) pairs: lower[v] <= value(v) <= upper[v].
+    lower = [(-w_bound, 1)] * n
+    upper = [(w_bound, 1)] * n
+    exact: list = [None] * n
 
-    def probe(p: int, q: int, mode: ThresholdMode) -> SolveResult:
-        scaled = g.with_weights([q * w - p for w in g.eweight])
-        return solve_threshold(scaled, replace(cfg, threshold_mode=mode))
+    def probe(verts: tuple, p: int, q: int, mode: ThresholdMode) -> frozenset:
+        """Threshold regions of the band ``verts``, which is sorted; tightens bounds.
+
+        Returns the full-game ids of the band's ``min_region``.
+        """
+        band = g if len(verts) == n else restrict(g, verts)
+        scaled = band.with_weights([q * w - p for w in band.eweight])
+        res = solve_threshold(scaled, replace(cfg, threshold_mode=mode))
+        strict = mode is ThresholdMode.STRICT
+        for region, strategy, is_upper in (
+            (res.min_region, res.min_strategy, True),
+            (res.max_region, res.max_strategy, False),
+        ):
+            bound, side = (upper, 1) if is_upper else (lower, -1)
+            for i, (x, y) in _cycle_mean_bounds(band, region, strategy, is_upper):
+                # WEAK: upper bounds are <= p/q and lower bounds > p/q;
+                # STRICT: upper bounds are < p/q and lower bounds >= p/q.
+                gap = side * (x * q - p * y)
+                if cheap and (gap > 0 or (gap == 0 and strict is is_upper)):
+                    raise SolverInternalError(f"bound {x}/{y} on the wrong side of {p}/{q}")
+                v = verts[i]
+                bx, by = bound[v]
+                if side * (x * by - bx * y) < 0:
+                    bound[v] = (x, y)
+                    if upper[v] == lower[v]:
+                        exact[v] = (x, y)
+        return frozenset(verts[i] for i in res.min_region)
 
     def split(verts: tuple, inside: frozenset) -> tuple:
         return (
@@ -527,48 +539,53 @@ def solve_values(g: Game, cfg: SolverConfig | None = None) -> ValueResult:
             tuple(v for v in verts if v not in inside),
         )
 
-    values: dict = {}
-    # A search is (vertices, a, b, c, d, lo, hi, step): the values lie in
-    # (x(lo), x(hi)] for positions of the chain of bracket (a/b, c/d], where
-    # position -K_L is a/b, 0 the mediant and K_R is c/d.  ``step`` is 0 to
-    # probe the mediant next, +s or -s to gallop right or left by s, and None
-    # to bisect.
+    def settled(verts: tuple) -> bool:
+        return all(exact[v] is not None for v in verts)
+
+    # A search is (vertices, k, a, b, c, d, lo, hi, step): the k vertices'
+    # values lie in (x(lo), x(hi)] for positions of the chain of bracket
+    # (a/b, c/d] under denominator bound k, where position -K_L is a/b, 0 the
+    # mediant and K_R is c/d.  ``step`` is 0 to probe the mediant next, +s or
+    # -s to gallop right or left by s, and None to bisect.
     searches = []
 
     def descend(verts: tuple, a: int, b: int, c: int, d: int, top: int = 0) -> None:
         """Search (a/b, c/d], leaving out the ``top`` highest chain positions."""
-        if b + d > n:
-            value = Fraction(c, d)
+        k = len(verts)
+        if b + d > k:
             for v in verts:
-                values[v] = value
+                exact[v] = (c, d)
         else:
-            searches.append((verts, a, b, c, d, -((n - d) // b), (n - b) // d - top, 0))
+            searches.append((verts, k, a, b, c, d, -((k - d) // b), (k - b) // d - top, 0))
 
-    # Integer phase: smallest integer c with value <= c, per group of vertices.
+    # Integer phase: smallest integer c with value <= c, per band.
     groups = [(tuple(range(n)), -w_bound - 1, w_bound)]
     while groups:
         verts, lo, hi = groups.pop()
+        if settled(verts):
+            continue
         if hi - lo > 1:
             mid = (lo + hi) // 2
-            left, right = split(verts, probe(mid, 1, ThresholdMode.WEAK).min_region)
+            left, right = split(verts, probe(verts, mid, 1, ThresholdMode.WEAK))
             if left:
                 groups.append((left, lo, mid))
             if right:
                 groups.append((right, mid, hi))
         else:
             # STRICT puts value-hi vertices on the Max side of w - hi.
-            exact, rest = split(verts, probe(hi, 1, ThresholdMode.STRICT).max_region)
-            value = Fraction(hi)
-            for v in exact:
-                values[v] = value
+            rest, top = split(verts, probe(verts, hi, 1, ThresholdMode.STRICT))
+            for v in top:
+                exact[v] = (hi, 1)
             if rest:
-                # Below hi with denominator <= n means at most hi - 1/n, the
+                # Below hi with denominator <= k means at most hi - 1/k, the
                 # chain position just under hi.
                 descend(rest, lo, 1, hi, 1, top=1)
     while searches:
-        verts, a, b, c, d, lo, hi, step = searches.pop()
+        verts, k, a, b, c, d, lo, hi, step = searches.pop()
+        if settled(verts):
+            continue
         if hi - lo == 1:
-            descend(verts, *_chain_at(a, b, c, d, n, lo), *_chain_at(a, b, c, d, n, hi))
+            descend(verts, *_chain_at(a, b, c, d, k, lo), *_chain_at(a, b, c, d, k, hi))
             continue
         # Probe position t; the side the gallop ran toward keeps galloping,
         # the side it overshot bisects.
@@ -580,13 +597,15 @@ def solve_values(g: Game, cfg: SolverConfig | None = None) -> ValueResult:
             t, lstep, rstep = max(hi + step, lo + 1), 2 * step, None
         else:
             t, lstep, rstep = 0, -1, 1
-        inside = probe(*_chain_at(a, b, c, d, n, t), ThresholdMode.WEAK).min_region
-        left, right = split(verts, inside)
+        left, right = split(verts, probe(verts, *_chain_at(a, b, c, d, k, t), ThresholdMode.WEAK))
         if left:
-            searches.append((left, a, b, c, d, lo, t, lstep))
+            searches.append((left, k, a, b, c, d, lo, t, lstep))
         if right:
-            searches.append((right, a, b, c, d, t, hi, rstep))
-    return ValueResult(values)
+            searches.append((right, k, a, b, c, d, t, hi, rstep))
+    distinct: dict = {}
+    return ValueResult(
+        {v: distinct.setdefault(pq, Fraction(*pq)) for v, pq in enumerate(exact)}
+    )
 
 
 def _chain_at(a: int, b: int, c: int, d: int, n: int, t: int) -> tuple:
@@ -600,3 +619,116 @@ def _chain_at(a: int, b: int, c: int, d: int, n: int, t: int) -> tuple:
     if t <= 0:
         return (a, b) if k * b + d > n else (k * a + c, k * b + d)
     return (c, d) if b + k * d > n else (a + k * c, b + k * d)
+
+
+def _cycle_mean_bounds(g: Game, region: frozenset, strategy: dict, upper: bool) -> list:
+    """Best cycle mean each vertex of ``region`` can reach against ``strategy``.
+
+    ``strategy`` fixes one edge per vertex of one player inside ``region``;
+    every other vertex of ``region`` keeps all its edges, which must stay
+    inside it.  In the resulting one-player graph the free player reaches the
+    largest cycle mean (``upper``, the free player is Max) or the smallest
+    (Min) of any cycle reachable from the vertex, which bounds its value.
+    Returns ``[(v, (numerator, denominator))]``, reduced, denominator > 0.
+
+    Weights are negated for Min, so the work is always a maximum.  Each
+    strongly connected component's own maximum mean comes from Karp's
+    formula: with D_i(x) the heaviest walk of exactly i edges from a fixed
+    member to x, it is the max over x of the min over i < k of
+    (D_k(x) - D_i(x)) / (k - i).  D_k is computed first and the rows again
+    after, so memory stays O(k).  Means are compared by cross-multiplying.
+    """
+    verts = sorted(region)
+    index = {v: i for i, v in enumerate(verts)}
+    sign = 1 if upper else -1
+    succ = []
+    for v in verts:
+        edges = (strategy[v],) if v in strategy else g.out[v]
+        try:
+            succ.append([(index[g.edst[e]], sign * g.eweight[e]) for e in edges])
+        except KeyError:
+            raise SolverInternalError(f"vertex {v} can leave its region") from None
+    size = len(verts)
+    # Tarjan's algorithm, iteratively.  A component is complete only after
+    # every component it reaches, so ``components`` lists successors first.
+    order = [-1] * size
+    low = [0] * size
+    comp = [-1] * size
+    stack: list = []
+    components: list = []
+    seen = 0
+    for root in range(size):
+        if order[root] >= 0:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, j = work.pop()
+            if j == 0:
+                order[v] = low[v] = seen
+                seen += 1
+                stack.append(v)
+            edges = succ[v]
+            while j < len(edges):
+                u = edges[j][0]
+                j += 1
+                if order[u] < 0:
+                    work += ((v, j), (u, 0))
+                    break
+                if comp[u] < 0:
+                    low[v] = min(low[v], order[u])
+            else:
+                if low[v] == order[v]:
+                    members = []
+                    while not members or members[-1] != v:
+                        members.append(stack.pop())
+                        comp[members[-1]] = len(components)
+                    components.append(members)
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+
+    def extend(inner: list, row: list) -> list:
+        """Heaviest walks one edge longer than those of ``row``."""
+        nxt = [None] * len(row)
+        for x, dist in enumerate(row):
+            if dist is not None:
+                for y, w in inner[x]:
+                    if nxt[y] is None or dist + w > nxt[y]:
+                        nxt[y] = dist + w
+        return nxt
+
+    best: list = []  # per component: the largest mean reachable from it
+    for cid, members in enumerate(components):
+        k = len(members)
+        pos = {v: i for i, v in enumerate(members)}
+        inner = [[(pos[u], w) for u, w in succ[v] if comp[u] == cid] for v in members]
+        top = None
+        for v in members:
+            for u, _ in succ[v]:
+                if comp[u] != cid:
+                    x, y = best[comp[u]]
+                    if top is None or x * top[1] > top[0] * y:
+                        top = (x, y)
+        if any(inner):
+            row = [0] + [None] * (k - 1)
+            last = row
+            for _ in range(k):
+                last = extend(inner, last)
+            worst: list = [None] * k
+            for i in range(k):
+                for x in range(k):
+                    if last[x] is not None and row[x] is not None:
+                        num, den = last[x] - row[x], k - i
+                        if worst[x] is None or num * worst[x][1] < worst[x][0] * den:
+                            worst[x] = (num, den)
+                row = extend(inner, row)
+            for mean in worst:
+                if mean is not None and (top is None or mean[0] * top[1] > top[0] * mean[1]):
+                    top = mean
+        best.append(top)
+    out = []
+    for i, v in enumerate(verts):
+        x, y = best[comp[i]]
+        r = gcd(x, y)
+        out.append((v, (sign * x // r, y // r)))
+    return out

@@ -109,6 +109,12 @@ class TestValues:
         doc = json.loads(capsys.readouterr().out)
         assert doc == {"0": "-1/2", "1": "-1/2"}
 
+    def test_strict_threshold_is_not_a_values_flag(self, g3_file):
+        # solve_values picks the threshold mode of every probe itself.
+        with pytest.raises(SystemExit) as exc:
+            main(["values", g3_file, "--strict-threshold"])
+        assert exc.value.code == 2
+
 
 class TestZones:
     def test_json_sets(self, tmp_path, capsys):

@@ -19,12 +19,10 @@ from mpg import (
     brute_force_solve,
     brute_force_supsigma,
     compute_zones,
-    derive_strategies,
     dual_game,
     gen_random,
     GenParams,
     Model,
-    glue_delta,
     is_reduced,
     parse_game,
     preprocess_no_zero_cycles,
@@ -33,6 +31,7 @@ from mpg import (
     solve_values,
     verify_strategy,
 )
+from mpg.solver import _cycle_mean_bounds, _glue_delta_arrays
 from conftest import small_corpus
 
 FULL = SolverConfig(assertions=AssertLevel.FULL)
@@ -176,32 +175,27 @@ class TestGlueDelta:
         g = parse_game(
             "mpg 1\nvertex 0 MIN\nvertex 1 MAX\nedge 0 1 -3\nedge 0 0 -1\nedge 1 1 1\n"
         )
-        assert glue_delta(g, {0}, {1}, {1: 0}, {0: 0}) == 3
+        assert _glue_delta_arrays(g, [0], [False, True], [0, 0], [0]) == 3
 
     def test_no_crossing_edges(self):
         g = parse_game(
             "mpg 1\nvertex 0 MIN\nvertex 1 MAX\nedge 0 0 -1\nedge 1 1 1\n"
         )
-        assert glue_delta(g, {0}, {1}, {1: 5}, {0: 7}) == 0
+        assert _glue_delta_arrays(g, [0], [False, True], [0, 5], [7]) == 0
 
     def test_worked_example(self):
         g = parse_game(
             "mpg 1\nvertex 0 MIN\nvertex 1 MIN\nvertex 2 MAX\nvertex 3 MAX\n"
             "edge 0 2 -3\nedge 1 3 5\nedge 0 1 0\nedge 1 0 0\nedge 2 3 0\nedge 3 2 0\n"
         )
-        delta = glue_delta(g, {0, 1}, {2, 3}, {2: 0, 3: 2}, {0: 1, 1: 4})
+        phi_a, phi_rest = [0, 0, 0, 2], {0: 1, 1: 4}
+        delta = _glue_delta_arrays(g, [0, 1], [False, False, True, True], phi_a, [1, 4])
         assert delta == 7
         # the returned shift satisfies the gluing bound on every crossing edge
         for e in range(g.m):
             src, dst = g.esrc[e], g.edst[e]
             if src in {0, 1} and dst in {2, 3}:
-                phi_a = {2: 0, 3: 2}[dst]
-                phi_p = {0: 1, 1: 4}[src]
-                assert delta >= -g.eweight[e] - phi_a + phi_p
-
-    def test_partition_validated(self, g3):
-        with pytest.raises(ValueError, match="partition"):
-            glue_delta(g3, {0}, {0, 1}, {}, {})
+                assert delta >= -g.eweight[e] - phi_a[dst] + phi_rest[src]
 
 
 class TestSolveThreshold:
@@ -237,6 +231,30 @@ class TestSolveThreshold:
             res = solve_threshold(g, FULL)
             oracle = brute_force_solve(g)
             assert res.min_region == oracle.min_region
+
+    @pytest.mark.parametrize("mode", list(ThresholdMode), ids=lambda m: m.value)
+    def test_solve_then_verify_round_trip(self, mode):
+        # The certificate and strategies are for preprocess_no_zero_cycles(g,
+        # mode), not for g: on g itself the n=30 seed-3 game has a winning Min
+        # vertex with no edge the potential admits.
+        models = list(Model)
+        games = [gen_random(GenParams(n=30, out_degree=(1, 4), weight_bound=10, seed=3))]
+        games += [
+            gen_random(GenParams(
+                n=2 + seed, out_degree=(1, 4), weight_bound=10,
+                model=models[seed % 3], seed=seed,
+            ))
+            for seed in range(30)
+        ]
+        cfg = SolverConfig(threshold_mode=mode)
+        for g in games:
+            res = solve_threshold(g, cfg)
+            pre = preprocess_no_zero_cycles(g, mode)
+            assert verify_strategy(pre, res.min_strategy, Player.MIN, res.min_region)
+            assert verify_strategy(pre, res.max_strategy, Player.MAX, res.max_region)
+            relabeled = apply_potential(pre, res.potential)
+            z = compute_zones(relabeled)
+            assert is_reduced(relabeled, z) and z.ZN == res.min_region
 
 
 class TestSolveValues:
@@ -307,6 +325,74 @@ class TestSolveValues:
         # Probed fractions p/q keep q <= n and |p/q| <= W + 1.
         assert max(calls) <= n * (2 * g.W + 1)
 
+    def test_band_bounds_settle_most_vertices(self, monkeypatch):
+        # The eight games of the benchmark's values workload, then two n=60
+        # games under the default config: 170 and 20 + 20 probes when every
+        # value walked its Stern-Brocot chain on the whole game.
+        calls = count_probes(monkeypatch)
+        cfg = SolverConfig(opt_init=True, opt_bulk=True, remember_potentials=True)
+        for i in range(8):
+            g = gen_random(GenParams(n=30 + 30 * i // 7, out_degree=(1, 3), weight_bound=20, seed=1 + i))
+            solve_values(g, cfg)
+        assert len(calls) <= 60
+        for seed in (1, 3):
+            calls.clear()
+            solve_values(gen_random(GenParams(n=60, out_degree=(1, 3), weight_bound=20, seed=seed)))
+            assert len(calls) <= 10, seed
+
+    def test_chain_search_settles_what_the_bounds_leave(self, monkeypatch):
+        # Games such as indices 38 and 62 keep vertices whose bounds never
+        # meet, so their values come from the galloping chain search.
+        chain_calls = []
+        real = solver_module._chain_at
+
+        def counted(*args):
+            chain_calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(solver_module, "_chain_at", counted)
+        chained = 0
+        for g in small_corpus(120, seed0=18, max_n=9, model=Model.CYCLE_HEAVY):
+            chain_calls.clear()
+            assert solve_values(g).values == brute_force_solve(g).values
+            chained += bool(chain_calls)
+        assert chained >= 1
+
+    @pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
+    def test_search_alone_matches_cycle_mean_oracle(self, model, monkeypatch):
+        # Without bounds every value comes from the bisection, the STRICT
+        # probes and the chain search on band subgames, down to the links
+        # whose only fraction of small enough denominator is the value.
+        monkeypatch.setattr(solver_module, "_cycle_mean_bounds", lambda *args: [])
+        for g in small_corpus(80, seed0=24, max_n=9, model=model):
+            assert solve_values(g).values == brute_force_solve(g).values
+        for n in range(2, 13):
+            for total in (1, n - 1, -1, -(n - 1)):
+                owners = [Player.MIN if v % 2 else Player.MAX for v in range(n)]
+                g = Game(owners, [(v, (v + 1) % n, total if v == 0 else 0) for v in range(n)])
+                assert solve_values(g).values == {v: Fraction(total, n) for v in range(n)}
+
+    @pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
+    def test_one_player_bounds_match_cycle_mean_oracle(self, model):
+        # With every vertex of one player down to a single edge, the other
+        # player's best reachable cycle mean is the value.
+        for g in small_corpus(60, seed0=23, max_n=9, model=model):
+            for fixed in Player:
+                strategy, edges = {}, []
+                for e in range(g.m):
+                    v = g.esrc[e]
+                    if g.owners[v] is fixed:
+                        if v in strategy:
+                            continue
+                        strategy[v] = len(edges)
+                    edges.append((v, g.edst[e], g.eweight[e]))
+                one = Game(g.owners, edges)
+                bounds = _cycle_mean_bounds(
+                    one, frozenset(range(one.n)), strategy, fixed is Player.MIN
+                )
+                want = brute_force_solve(one).values
+                assert dict(bounds) == {v: (x.numerator, x.denominator) for v, x in want.items()}
+
 
 class TestDeriveStrategies:
     def test_min_strategy_example(self, g3):
@@ -326,7 +412,7 @@ class TestDeriveStrategies:
 
     def test_rederivation_is_idempotent(self, g8):
         res = reduce_game(g8, FULL)
-        again = derive_strategies(g8, res)
+        again = solver_module.derive_strategies(g8, res)
         assert again.min_strategy == res.min_strategy
         assert again.max_strategy == res.max_strategy
 
