@@ -1,16 +1,6 @@
 """Mean-payoff game solving: regions, potential certificates, exact values."""
 
-from .backtracking import (
-    AttractorResult,
-    EscapeCase,
-    EscapeContext,
-    Polarity,
-    SolverInternalError,
-    attract_and_reduce,
-    backtrack_all_paths,
-    good_escape_set,
-    safe_init,
-)
+from .backtracking import SolverInternalError, safe_init
 from .game import (
     ClosedWalk,
     Edge,

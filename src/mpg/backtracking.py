@@ -9,10 +9,8 @@ good-escape set that fixes many vertices at once.
 
 from __future__ import annotations
 
-import enum
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 from .game import Game, Player, dual_game
 from .zones import Zones
@@ -20,37 +18,6 @@ from .zones import Zones
 
 class SolverInternalError(Exception):
     """The solver or one of its subprocedures detected an internal inconsistency."""
-
-
-class Polarity(enum.Enum):
-    SUP_N = "sup-n"  # peak values over plays before reaching N; always >= 0
-    INF_P = "inf-p"  # valley values before reaching P; always <= 0
-
-
-class EscapeCase(enum.Enum):
-    H_PLUS = "h-plus"
-    H_MINUS = "h-minus"
-
-
-@dataclass
-class EscapeContext:
-    """Finished vertices and their fixed peak (or valley) values.
-
-    ``values`` is defined exactly on ``finished``.  Owned by a single solver
-    invocation; operations mutate it in place and return it.
-    """
-
-    finished: set = field(default_factory=set)
-    values: dict = field(default_factory=dict)
-    polarity: Polarity = Polarity.SUP_N
-
-
-@dataclass(frozen=True)
-class AttractorResult:
-    """An attractor together with a reducing potential defined on it."""
-
-    vertices: frozenset
-    potential: dict
 
 
 def _backtrack_core(g: Game, in_f: list, val: list) -> list:
@@ -100,20 +67,6 @@ def _backtrack_core(g: Game, in_f: list, val: list) -> list:
                 if esc[u] == 0:
                     queue.append(u)
     return added
-
-
-def backtrack_all_paths(g: Game, ctx: EscapeContext) -> EscapeContext:
-    """Fix values for every vertex whose paths all lead into ``ctx.finished``."""
-    in_f = [False] * g.n
-    val = [0] * g.n
-    for v in ctx.finished:
-        in_f[v] = True
-        val[v] = ctx.values.get(v, 0)
-    added = _backtrack_core(g, in_f, val)
-    for v in added:
-        ctx.finished.add(v)
-        ctx.values[v] = val[v]
-    return ctx
 
 
 def _attract_max_core(g: Game, in_t: list, phi_t: Sequence) -> tuple:
@@ -182,33 +135,6 @@ def _attract_max_core(g: Game, in_t: list, phi_t: Sequence) -> tuple:
                 pending[u] = True
                 queue.append(u)
     return in_a, phi
-
-
-def attract_and_reduce(
-    g: Game, target: Iterable, phi_t: Mapping, player: Player
-) -> AttractorResult:
-    """Attractor of ``player`` to ``target``, extending its reducing potential.
-
-    For MAX the target potential must be positively reducing over the
-    restriction to the target (dually for MIN); the returned potential keeps
-    that property over the whole attractor.
-    """
-    if player is Player.MIN:
-        dres = attract_and_reduce(
-            dual_game(g), target, {v: -x for v, x in phi_t.items()}, Player.MAX
-        )
-        return AttractorResult(
-            dres.vertices, {v: -x for v, x in dres.potential.items()}
-        )
-    in_t = [False] * g.n
-    for v in target:
-        in_t[v] = True
-    phi_arr = [0] * g.n
-    for v, x in phi_t.items():
-        phi_arr[v] = x
-    in_a, phi = _attract_max_core(g, in_t, phi_arr)
-    verts = frozenset(v for v in range(g.n) if in_a[v])
-    return AttractorResult(verts, {v: phi[v] for v in verts})
 
 
 def _safe_init_core(
@@ -344,46 +270,3 @@ def _good_escape_core(
                 pending[v] = True
                 removal.append(v)
     return [v for v in side if not removed[v]]
-
-
-def good_escape_set(
-    g: Game,
-    ctx: EscapeContext,
-    h_side: Iterable,
-    phi_h: Mapping,
-    case: EscapeCase,
-) -> tuple:
-    """Bulk escape fixing: the set S and optimal escape bound m.
-
-    In the H_PLUS case m is the minimum adjusted cost over escapes owned by
-    Min; every vertex of S has peak value m + phi_h(v).  H_MINUS is the dual
-    (maximum over Max escapes).  Raises if the required escape edge is
-    missing, which signals a bug in the caller's bookkeeping.
-    """
-    side = sorted(set(h_side))
-    plus = case is EscapeCase.H_PLUS
-    escape_owner = Player.MIN if plus else Player.MAX
-    in_f = [False] * g.n
-    val = [0] * g.n
-    for v in ctx.finished:
-        in_f[v] = True
-        val[v] = ctx.values.get(v, 0)
-    phi = [0] * g.n
-    for v, x in phi_h.items():
-        phi[v] = x
-    m = None
-    for v in side:
-        if g.owners[v] is not escape_owner:
-            continue
-        for e in g.out[v]:
-            d = g.edst[e]
-            if in_f[d]:
-                expr = g.eweight[e] + val[d] - phi[v]
-                if m is None or ((expr < m) if plus else (expr > m)):
-                    m = expr
-    if m is None:
-        raise SolverInternalError(
-            "good_escape_set: no escape edge from the given side"
-        )
-    members = _good_escape_core(g, in_f, val, side, phi, m, plus)
-    return frozenset(members), m

@@ -78,8 +78,8 @@ class Game:
     Instances are immutable after construction and safe to share between
     concurrent readers.  ``esrc``/``edst``/``eweight`` hold the edge list as
     parallel tuples indexed by edge id; ``out``/``inc`` give per-vertex edge-id
-    adjacency.  ``W`` is the maximum absolute weight, recomputed at
-    construction so it can never go stale.
+    adjacency.  ``W`` is the maximum absolute weight, computed from the
+    weights on first use.
     """
 
     def __init__(
@@ -127,7 +127,6 @@ class Game:
         self.eweight = tuple(ew)
         self.out = tuple(tuple(x) for x in out)
         self.inc = tuple(tuple(x) for x in inc)
-        self.W = max(map(abs, ew), default=0)
 
     @classmethod
     def _raw(cls, owners, esrc, edst, eweight, out, inc, orig_ids) -> Game:
@@ -142,8 +141,11 @@ class Game:
         g.eweight = eweight
         g.out = out
         g.inc = inc
-        g.W = max(map(abs, eweight), default=0)
         return g
+
+    @cached_property
+    def W(self) -> int:
+        return max(map(abs, self.eweight), default=0)
 
     def with_weights(self, weights: Sequence[int]) -> Game:
         """Same structure with a new weight per edge id."""
@@ -322,28 +324,48 @@ def dual_game(g: Game) -> Game:
     return Game._raw(owners, g.esrc, g.edst, weights, g.out, g.inc, g.orig_ids)
 
 
-def restrict(g: Game, keep: Iterable[int]) -> Game:
-    """Induced subgraph on ``keep`` (ascending order), which must be a subgame."""
+def restrict(g: Game, keep: Iterable[int], shift: Sequence[int] | None = None) -> Game:
+    """Induced subgraph on ``keep`` (ascending order), which must be a subgame.
+
+    With ``shift``, a potential indexed by ``g``'s vertices, each kept edge
+    (v, v') weighs w + shift[v'] - shift[v], as after ``apply_potential``.
+    Edge ids follow the kept vertices' out-lists in order.
+    """
     kept = sorted(set(keep))
-    for v in kept:
-        if not (0 <= v < g.n):
+    n = g.n
+    pos = [-1] * n
+    for i, v in enumerate(kept):
+        if not (0 <= v < n):
             raise GameError(f"vertex {v} out of range")
-    sub_index = {v: i for i, v in enumerate(kept)}
-    owners = [g.owners[v] for v in kept]
-    orig = [g.orig_ids[v] for v in kept]
-    edges: list[tuple[int, int, int]] = []
-    for v in kept:
-        found = False
-        for e in g.out[v]:
-            j = sub_index.get(g.edst[e])
-            if j is not None:
-                edges.append((sub_index[v], j, g.eweight[e]))
-                found = True
-        if not found:
+        pos[v] = i
+    g_out, edst, ew = g.out, g.edst, g.eweight
+    esrc: list[int] = []
+    sdst: list[int] = []
+    sw: list[int] = []
+    out: list[tuple[int, ...]] = []
+    inc: list[list[int]] = [[] for _ in kept]
+    m = 0
+    for i, v in enumerate(kept):
+        first = m
+        sv = 0 if shift is None else shift[v]
+        for e in g_out[v]:
+            d = edst[e]
+            j = pos[d]
+            if j >= 0:
+                inc[j].append(m)
+                sdst.append(j)
+                sw.append(ew[e] if shift is None else ew[e] + shift[d] - sv)
+                m += 1
+        if m == first:
             raise NotASubgameError(
                 f"not a subgame: vertex {g.orig_ids[v]} is a sink in restriction"
             )
-    return Game(owners, edges, orig_ids=orig)
+        esrc += [i] * (m - first)
+        out.append(tuple(range(first, m)))
+    return Game._raw(
+        tuple(g.owners[v] for v in kept), tuple(esrc), tuple(sdst), tuple(sw),
+        tuple(out), tuple(map(tuple, inc)), tuple(g.orig_ids[v] for v in kept),
+    )
 
 
 def is_trap(g: Game, s: Iterable[int], player: Player) -> bool:

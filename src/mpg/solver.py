@@ -30,6 +30,7 @@ from .backtracking import (
 )
 from .game import (
     Game,
+    NotASubgameError,
     Player,
     ThresholdMode,
     dual_game,
@@ -71,7 +72,8 @@ class Stats:
     """Work counters of one ``reduce_game`` call, one meaning each.
 
     * ``recursive_calls``: frame entries plus relabel restarts, so frames =
-      ``recursive_calls - potential_reductions``.
+      ``recursive_calls - potential_reductions``.  A child decided on a view
+      of its parent, without building its subgame, still counts as a frame.
     * ``loop_iterations``: passes of the escape loop, each one backtracking
       run over the finished set.
     * ``escapes_fixed``: vertices finished one at a time by an optimal escape
@@ -155,9 +157,10 @@ def _assert_certificate(g: Game, mn: list, mx: list, phi: list) -> None:
 def _sup_loop(gl, zl, cfg, stats, depth, hook):
     """Escape loop computing peak values toward N over the loop game ``gl``.
 
-    Yields child games to solve; returns either ``(None, values)`` when every
-    vertex got a finite peak value (caller relabels and restarts) or
-    ``((min, max, phi), None)`` when an attractor ended the call.
+    Yields child views to solve (see ``_frame``); returns either
+    ``(None, values)`` when every vertex got a finite peak value (caller
+    relabels and restarts) or ``((min, max, phi), None)`` when an attractor
+    ended the call.
     """
     n = gl.n
     owners, out, edst, ew = gl.owners, gl.out, gl.edst, gl.eweight
@@ -186,27 +189,17 @@ def _sup_loop(gl, zl, cfg, stats, depth, hook):
             if hook is not None:
                 hook(gl, {v: val[v] for v in range(n)}, depth)
             return None, val
-        if cheap:
-            rest_set = set(rest)
-            for v in rest:
-                if not any(edst[e] in rest_set for e in out[v]):
-                    raise SolverInternalError("remainder is not a subgame")
-        sub = restrict(gl, rest)
-        if cfg.remember_potentials and pred_phi is not None:
-            pre = [pred_phi[pv] for pv in rest]
-            solve_game = sub.with_weights(
-                [sub.eweight[e] + pre[sub.edst[e]] - pre[sub.esrc[e]] for e in range(sub.m)]
-            )
+        # The child starts from the previous potentials, if remembered.
+        shift = pred_phi if cfg.remember_potentials else None
+        hm, hp, hphi = yield gl, rest, shift
+        if shift is not None:
+            for x, pv in zip(hphi, rest):
+                pred_phi[pv] += x
         else:
-            pre = None
-            solve_game = sub
-        hm, hp, hphi = yield solve_game
-        if pre is not None:
-            hphi = [x + y for x, y in zip(hphi, pre)]
-        if pred_phi is None:
-            pred_phi = [0] * n
-        for i, pv in enumerate(rest):
-            pred_phi[pv] = hphi[i]
+            if pred_phi is None:
+                pred_phi = [0] * n
+            for x, pv in zip(hphi, rest):
+                pred_phi[pv] = x
         side_plus = [rest[i] for i in range(len(rest)) if hp[i]]
         if side_plus:
             best = None
@@ -244,8 +237,7 @@ def _sup_loop(gl, zl, cfg, stats, depth, hook):
             in_a, phi_a = _attract_max_core(gl, in_t, pred_phi)
             keep = [v for v in range(n) if not in_a[v]]
             if keep:
-                g2 = restrict(gl, keep)
-                m2, p2, phi2 = yield g2
+                m2, p2, phi2 = yield gl, keep, None
             else:
                 m2 = p2 = phi2 = []
             delta = _glue_delta_arrays(gl, keep, in_a, phi_a, phi2)
@@ -306,27 +298,29 @@ def _glue_delta_arrays(gl, keep, in_a, phi_a, phi2) -> int:
     return -min_w - min_phi_a + max_phi_rest
 
 
-def _frame(g: Game, cfg: SolverConfig, stats: Stats, depth: int, hook):
-    """One recursion level; yields child games, returns (min, max, phi) lists."""
+def _frame(view: tuple, cfg: SolverConfig, stats: Stats, depth: int, hook):
+    """One recursion level; yields child views, returns (min, max, phi) lists.
+
+    A view is (game, ascending kept vertices, potential shift): the subgame
+    ``restrict(game, kept, shift)``, or the game itself when ``kept`` is
+    None.  The entry zones are computed on the view, and the subgame is built
+    only if it is not already reduced.
+    """
     stats.recursive_calls += 1
     cheap = cfg.assertions >= AssertLevel.CHEAP
     full = cfg.assertions >= AssertLevel.FULL
-    n = g.n
+    g, keep, shift = view
+    try:
+        zones = compute_zones(g, keep, shift)
+    except NotASubgameError as exc:
+        raise SolverInternalError(f"remainder is {exc}") from None
+    n = g.n if keep is None else len(keep)
     acc = [0] * n
-    shrink_guard = None
     restarts = 0
-    while True:
-        zones = compute_zones(g)
-        if shrink_guard is not None and cheap:
-            if not (zones.N | zones.P) <= shrink_guard:
-                raise SolverInternalError(
-                    "zones failed to shrink into the relabeled zone"
-                )
-        if is_reduced(g, zones):
-            zn = zones.ZN
-            mn = [v in zn for v in range(n)]
-            mx = [not x for x in mn]
-            return mn, mx, acc
+    while not is_reduced(g, zones, keep, shift):
+        if keep is not None:
+            g = restrict(g, keep, shift)
+            keep = shift = None
         restarts += 1
         if restarts > n + 2:
             raise SolverInternalError("relabeling failed to make progress")
@@ -344,9 +338,13 @@ def _frame(g: Game, cfg: SolverConfig, stats: Stats, depth: int, hook):
                 [g.eweight[e] + step[g.edst[e]] - step[g.esrc[e]] for e in range(g.m)]
             )
             acc = [a + s for a, s in zip(acc, step)]
-            shrink_guard = zl.N
             stats.potential_reductions += 1
             stats.recursive_calls += 1
+            zones = compute_zones(g)
+            if cheap and not (zones.N | zones.P) <= zl.N:
+                raise SolverInternalError(
+                    "zones failed to shrink into the relabeled zone"
+                )
             continue
         mn, mx, phi = outcome
         if flip:
@@ -354,10 +352,13 @@ def _frame(g: Game, cfg: SolverConfig, stats: Stats, depth: int, hook):
         if full:
             _assert_certificate(g, mn, mx, phi)
         return mn, mx, [a + p for a, p in zip(acc, phi)]
+    zn = zones.ZN
+    mn = [v in zn for v in range(n)]
+    return mn, [not x for x in mn], acc
 
 
 def _drive(g: Game, cfg: SolverConfig, stats: Stats, limit: int, hook):
-    stack = [_frame(g, cfg, stats, 0, hook)]
+    stack = [_frame((g, None, None), cfg, stats, 0, hook)]
     sent = None
     while True:
         try:

@@ -93,6 +93,25 @@ def small_corpus(count, seed0=0, max_n=8, weight_bound=4, model=Model.UNIFORM):
     return games
 
 
+def subgame_views(g: Game, rng: Rng, count: int = 4):
+    """Random ascending vertex lists inducing subgames of ``g``, each with a
+    random potential shift over ``g``'s vertices (or None)."""
+    views = []
+    for _ in range(count):
+        keep = {v for v in range(g.n) if rng.randint(0, 2)}
+        changed = True
+        while changed:  # drop vertices left without an edge inside
+            changed = False
+            for v in sorted(keep):
+                if not any(g.edst[e] in keep for e in g.out[v]):
+                    keep.discard(v)
+                    changed = True
+        if keep:
+            shift = [rng.randint(-9, 9) for _ in range(g.n)] if rng.randint(0, 1) else None
+            views.append((sorted(keep), shift))
+    return views
+
+
 def naive_zone_fixpoint(g: Game):
     """Zones by explicit quantifiers plus a round-based fixpoint for ZN."""
     n_zone, p_zone = set(), set()

@@ -299,7 +299,8 @@ def test_criterion_10_performance_smoke(tmp_path):
             "--opt-init", "--opt-bulk", "--remember-potentials", "--assert", "off",
         ]
     )
-    rows = list(csv.DictReader(csv_path.open()))
+    with csv_path.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
     wall_s = int(rows[0]["wall_us"]) / 1e6
     peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     ok = code == 0 and len(rows) == 1 and wall_s < 60.0 and peak_mib < 1024.0

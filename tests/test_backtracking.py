@@ -1,30 +1,32 @@
-"""Backward fixpoints: value propagation, attractors, seeds, bulk escapes."""
+"""Backward fixpoints: value propagation, attractors, seeds, bulk escapes.
+
+The cores work on per-vertex lists: ``in_f``/``val`` for the finished set
+and its values, ``in_t``/``phi`` for an attractor target and its potential.
+"""
 
 from __future__ import annotations
 
 import pytest
 
 from mpg import (
-    AttractorResult,
-    EscapeCase,
-    EscapeContext,
     Player,
-    Polarity,
+    SolverConfig,
     SolverInternalError,
+    Stats,
     ThresholdMode,
     apply_potential,
-    attract_and_reduce,
-    backtrack_all_paths,
     brute_force_infsigma,
     brute_force_supsigma,
     compute_zones,
-    good_escape_set,
+    dual_game,
     is_trap,
     parse_game,
     preprocess_no_zero_cycles,
     restrict,
     safe_init,
 )
+from mpg.backtracking import _attract_max_core, _backtrack_core, _good_escape_core
+from mpg.solver import _sup_loop
 from conftest import small_corpus
 
 
@@ -35,17 +37,30 @@ def no_zero_cycles(count, seed0, max_n=7):
     ]
 
 
+def backtrack(g, values: dict) -> dict:
+    """Run ``_backtrack_core`` from the finished set ``values``; all values after."""
+    in_f = [v in values for v in range(g.n)]
+    val = [values.get(v, 0) for v in range(g.n)]
+    added = _backtrack_core(g, in_f, val)
+    assert sorted(added) == [v for v in range(g.n) if in_f[v] and v not in values]
+    return {v: val[v] for v in range(g.n) if in_f[v]}
+
+
+def attract_max(g, target_phi: dict) -> dict:
+    """Max attractor of the keys of ``target_phi``: its potential per member."""
+    in_t = [v in target_phi for v in range(g.n)]
+    in_a, phi = _attract_max_core(g, in_t, [target_phi.get(v, 0) for v in range(g.n)])
+    return {v: phi[v] for v in range(g.n) if in_a[v]}
+
+
 class TestBacktrackAllPaths:
     def test_forced_min_vertex(self, g3):
-        ctx = EscapeContext(finished={1}, values={1: 0})
-        backtrack_all_paths(g3, ctx)
-        assert ctx.finished == {0, 1}
-        assert ctx.values == {0: 2, 1: 0}
+        assert backtrack(g3, {1: 0}) == {0: 2, 1: 0}
 
     def test_total_set_is_fixpoint(self, g1):
-        ctx = EscapeContext(finished={0}, values={0: 0})
-        backtrack_all_paths(g1, ctx)
-        assert ctx.finished == {0} and ctx.values == {0: 0}
+        in_f, val = [True], [0]
+        assert _backtrack_core(g1, in_f, val) == []
+        assert in_f == [True] and val == [0]
 
     def test_max_vertex_takes_maximum(self):
         # u (Max) -> x (+1, value 0) and -> y (-2, value 5): max(1, 3) = 3.
@@ -53,63 +68,46 @@ class TestBacktrackAllPaths:
             "mpg 1\nvertex 0 MAX\nvertex 1 MIN\nvertex 2 MIN\n"
             "edge 0 1 1\nedge 0 2 -2\nedge 1 1 -1\nedge 2 2 -1\n"
         )
-        ctx = EscapeContext(finished={1, 2}, values={1: 0, 2: 5})
-        backtrack_all_paths(g, ctx)
-        assert ctx.values[0] == 3
+        assert backtrack(g, {1: 0, 2: 5})[0] == 3
 
     def test_matches_peak_oracle_from_negative_zone(self):
         for g in no_zero_cycles(150, seed0=900, max_n=6):
             zones = compute_zones(g)
-            ctx = EscapeContext(
-                finished=set(zones.N), values={v: 0 for v in zones.N}
-            )
-            backtrack_all_paths(g, ctx)
+            values = backtrack(g, {v: 0 for v in zones.N})
             oracle = brute_force_supsigma(g, zones.N)
-            for v in ctx.finished:
-                assert ctx.values[v] == oracle[v]
+            for v, x in values.items():
+                assert x == oracle[v]
 
     def test_valley_polarity_mirror(self):
         # Seeded at P with valley values, the same propagation computes
         # the largest-prefix-minimum before P; values stay <= 0.
         for g in no_zero_cycles(80, seed0=902, max_n=5):
             zones = compute_zones(g)
-            ctx = EscapeContext(
-                finished=set(zones.P),
-                values={v: 0 for v in zones.P},
-                polarity=Polarity.INF_P,
-            )
-            backtrack_all_paths(g, ctx)
+            values = backtrack(g, {v: 0 for v in zones.P})
             oracle = brute_force_infsigma(g, zones.P)
-            for v in ctx.finished:
-                assert ctx.values[v] == oracle[v] <= 0
+            for v, x in values.items():
+                assert x == oracle[v] <= 0
 
     def test_values_stay_nonnegative_and_rest_is_subgame(self):
         for g in no_zero_cycles(150, seed0=321, max_n=7):
             zones = compute_zones(g)
-            ctx = EscapeContext(finished=set(zones.N), values={v: 0 for v in zones.N})
-            backtrack_all_paths(g, ctx)
-            assert all(x >= 0 for x in ctx.values.values())
-            rest = set(range(g.n)) - ctx.finished
+            values = backtrack(g, {v: 0 for v in zones.N})
+            assert all(x >= 0 for x in values.values())
+            rest = set(range(g.n)) - set(values)
             if rest:
                 restrict(g, rest)  # raises if some kept vertex turned sink
 
 
 class TestAttractAndReduce:
     def test_attracts_through_zero_edges(self, g5):
-        res = attract_and_reduce(g5, {0}, {0: 0}, Player.MAX)
-        assert res.vertices == {0, 1, 2}
-        assert res.potential == {0: 0, 1: 0, 2: 0}
+        assert attract_max(g5, {0: 0}) == {0: 0, 1: 0, 2: 0}
 
     def test_full_target_is_noop(self, g5):
         phi = {v: v for v in range(g5.n)}
-        res = attract_and_reduce(g5, range(g5.n), phi, Player.MAX)
-        assert res.vertices == frozenset(range(g5.n))
-        assert res.potential == phi
+        assert attract_max(g5, phi) == phi
 
     def test_min_vertex_extension(self, g8):
-        res = attract_and_reduce(g8, {1, 2}, {1: 0, 2: 0}, Player.MAX)
-        assert res.vertices == {0, 1, 2}
-        assert res.potential == {0: -1, 1: 0, 2: 0}
+        assert attract_max(g8, {1: 0, 2: 0}) == {0: -1, 1: 0, 2: 0}
 
     @staticmethod
     def _interior(g, zone):
@@ -137,14 +135,15 @@ class TestAttractAndReduce:
             sub = restrict(g, seed)
             if compute_zones(sub).ZN:
                 continue
-            res = attract_and_reduce(g, seed, {v: 0 for v in seed}, Player.MAX)
-            inner = restrict(apply_potential(g, res.potential), res.vertices)
+            phi = attract_max(g, {v: 0 for v in seed})
+            inner = restrict(apply_potential(g, phi), phi)
             assert not compute_zones(inner).N
-            assert is_trap(g, res.vertices, Player.MIN)
+            assert is_trap(g, phi, Player.MIN)
             hits += 1
         assert hits > 5
 
     def test_min_player_is_mirror_of_max(self):
+        # Min's attractor is Max's attractor in the dual game, potential negated.
         hits = 0
         for g in no_zero_cycles(150, seed0=62, max_n=7):
             zones = compute_zones(g)
@@ -154,11 +153,12 @@ class TestAttractAndReduce:
             sub = restrict(g, closed)
             if compute_zones(sub).ZP:
                 continue
-            res = attract_and_reduce(g, closed, {v: 0 for v in closed}, Player.MIN)
-            assert res.vertices >= frozenset(closed)
-            inner = restrict(apply_potential(g, res.potential), res.vertices)
+            dual_phi = attract_max(dual_game(g), {v: 0 for v in closed})
+            phi = {v: -x for v, x in dual_phi.items()}
+            assert phi.keys() >= closed
+            inner = restrict(apply_potential(g, phi), phi)
             assert not compute_zones(inner).P
-            assert is_trap(g, res.vertices, Player.MAX)
+            assert is_trap(g, phi, Player.MAX)
             hits += 1
         assert hits > 5
 
@@ -207,37 +207,49 @@ def escape_game(h1_back_weight: int):
     )
 
 
+def good_escapes(g, side, m, plus=True):
+    """``_good_escape_core`` with vertex 0 finished at value 0 and phi = 0."""
+    in_f = [v == 0 for v in range(g.n)]
+    return _good_escape_core(g, in_f, [0] * g.n, side, [0] * g.n, m, plus)
+
+
 class TestGoodEscapeSet:
+    # m is the best escape bound, which the solver takes over the escaping
+    # player's edges into the finished set; here it comes from the oracle.
+
     def test_blocked_partner_stays_out(self):
         g = escape_game(1)
-        ctx = EscapeContext(finished={0}, values={0: 0})
-        members, m = good_escape_set(g, ctx, {1, 2}, {1: 0, 2: 0}, EscapeCase.H_PLUS)
-        assert m == 1 and members == {1}
         oracle = brute_force_supsigma(g, {0})
-        assert oracle[1] == m + 0
+        m = oracle[1]
+        assert m == 1 and good_escapes(g, [1, 2], m) == [1]
         assert oracle[2] != m  # vertex 2 genuinely has a different peak
 
     def test_zero_edge_partner_joins(self):
         g = escape_game(0)
-        ctx = EscapeContext(finished={0}, values={0: 0})
-        members, m = good_escape_set(g, ctx, {1, 2}, {1: 0, 2: 0}, EscapeCase.H_PLUS)
-        assert m == 1 and members == {1, 2}
         oracle = brute_force_supsigma(g, {0})
         assert oracle[1] == oracle[2] == 1
+        assert good_escapes(g, [1, 2], 1) == [1, 2]
 
     def test_single_escape_degenerates_to_one_vertex(self):
         g = parse_game(
             "mpg 1\nvertex 0 MIN\nvertex 1 MIN\n"
             "edge 0 0 -1\nedge 1 0 3\nedge 1 1 2\n"
         )
-        ctx = EscapeContext(finished={0}, values={0: 0})
-        members, m = good_escape_set(g, ctx, {1}, {1: 0}, EscapeCase.H_PLUS)
-        assert members == {1} and m == 3
+        assert brute_force_supsigma(g, {0})[1] == 3
+        assert good_escapes(g, [1], 3) == [1]
 
-    def test_missing_escape_is_an_internal_error(self, g5):
-        ctx = EscapeContext(finished={3}, values={3: 0})
-        with pytest.raises(SolverInternalError):
-            good_escape_set(g5, ctx, {0}, {0: 0}, EscapeCase.H_PLUS)
+    def test_missing_escape_is_an_internal_error(self):
+        # Vertex 0 is finished; the remainder {1, 2} is a subgame in which
+        # Max's vertex 2 has no edge into the finished set.  A child answer
+        # calling the remainder Min-won leaves Max no escape to fix.
+        g = parse_game(
+            "mpg 1\nvertex 0 MIN\nvertex 1 MIN\nvertex 2 MAX\n"
+            "edge 0 0 -1\nedge 1 0 1\nedge 1 2 0\nedge 2 1 1\nedge 2 2 1\n"
+        )
+        loop = _sup_loop(g, compute_zones(g), SolverConfig(), Stats(), 0, None)
+        assert next(loop)[1] == [1, 2]
+        with pytest.raises(SolverInternalError, match="no escape edge"):
+            loop.send(([True, True], [False, False], [0, 0]))
 
     def test_minus_case_mirrors_plus(self):
         # f (Max, +1 loop finished); h0 Max escape -1 to f; h1 Min behind it.
@@ -245,6 +257,5 @@ class TestGoodEscapeSet:
             "mpg 1\nvertex 0 MAX\nvertex 1 MAX\nvertex 2 MIN\n"
             "edge 0 0 1\nedge 1 0 -1\nedge 1 2 -1\nedge 2 1 0\n"
         )
-        ctx = EscapeContext(finished={0}, values={0: 0}, polarity=Polarity.SUP_N)
-        members, m = good_escape_set(g, ctx, {1, 2}, {1: 0, 2: 0}, EscapeCase.H_MINUS)
-        assert m == -1 and members == {1, 2}
+        assert brute_force_infsigma(g, {0})[1] == -1
+        assert good_escapes(g, [1, 2], -1, plus=False) == [1, 2]

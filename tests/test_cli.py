@@ -263,7 +263,8 @@ class TestBench:
             ]
         )
         assert code == 0
-        rows = list(csv.reader(csv_path.open()))
+        with csv_path.open(newline="") as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == BENCH_HEADER.split(",")
         assert len(rows) == 1 + 3 * 2
 
@@ -276,7 +277,8 @@ class TestBench:
         assert main(
             ["bench", "--corpus", str(corpus), "--csv", str(csv_path), "--sweep-opts"]
         ) == 0
-        rows = list(csv.DictReader(csv_path.open()))
+        with csv_path.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 2 * 8
         by_instance = {}
         for row in rows:
@@ -289,7 +291,8 @@ class TestBench:
         corpus.mkdir()
         csv_path = tmp_path / "out.csv"
         assert main(["bench", "--corpus", str(corpus), "--csv", str(csv_path)]) == 0
-        rows = list(csv.reader(csv_path.open()))
+        with csv_path.open(newline="") as fh:
+            rows = list(csv.reader(fh))
         assert rows == [BENCH_HEADER.split(",")]
 
     def test_generated_instances(self, tmp_path):
@@ -297,7 +300,8 @@ class TestBench:
         assert main(
             ["bench", "--csv", str(csv_path), "--count", "4", "--n", "6", "--seed", "2"]
         ) == 0
-        rows = list(csv.DictReader(csv_path.open()))
+        with csv_path.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 4
         assert rows[0]["instance"] == "gen-2"
 

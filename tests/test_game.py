@@ -28,7 +28,14 @@ from mpg import (
     serialize_game,
     serialize_potential,
 )
-from conftest import G1_TEXT, G3_TEXT, sample_closed_walk, simple_cycles, small_corpus
+from conftest import (
+    G1_TEXT,
+    G3_TEXT,
+    sample_closed_walk,
+    simple_cycles,
+    small_corpus,
+    subgame_views,
+)
 
 
 @st.composite
@@ -232,6 +239,29 @@ class TestRestrict:
 
     def test_full_restriction_is_identity(self, g5):
         assert restrict(g5, range(g5.n)) == g5
+
+    def test_out_of_range_rejected(self, g5):
+        for bad in (-1, g5.n):
+            with pytest.raises(GameError, match="out of range"):
+                restrict(g5, {0, bad})
+
+    def test_matches_validating_constructor_and_shift(self):
+        # Same arrays, edge ids included, as building the induced subgraph
+        # through Game() from the reweighted game.
+        rng = Rng(5)
+        for g in small_corpus(80, seed0=40, max_n=9):
+            for keep, shift in subgame_views(g, rng):
+                phi = dict(enumerate(shift or []))
+                h = apply_potential(g, phi)
+                index = {v: i for i, v in enumerate(keep)}
+                edges = [
+                    (index[v], index[h.edst[e]], h.eweight[e])
+                    for v in keep for e in h.out[v] if h.edst[e] in index
+                ]
+                want = Game([g.owners[v] for v in keep], edges, [g.orig_ids[v] for v in keep])
+                got = restrict(g, keep, shift)
+                for attr in ("owners", "orig_ids", "esrc", "edst", "eweight", "out", "inc", "W"):
+                    assert getattr(got, attr) == getattr(want, attr)
 
 
 class TestIsTrap:

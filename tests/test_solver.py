@@ -14,6 +14,7 @@ from mpg import (
     Policy,
     SolverConfig,
     SolverInternalError,
+    Stats,
     ThresholdMode,
     apply_potential,
     brute_force_solve,
@@ -31,6 +32,7 @@ from mpg import (
     solve_values,
     verify_strategy,
 )
+from mpg.cli import main as cli_main
 from mpg.solver import _cycle_mean_bounds, _glue_delta_arrays
 from conftest import small_corpus
 
@@ -428,6 +430,59 @@ class TestAssertionMachinery:
         cfg = SolverConfig(assertions=AssertLevel.OFF)
         for g in no_zero_cycles(60, seed0=19):
             assert reduce_game(g, cfg).min_region == brute_force_solve(g).min_region
+
+    @pytest.mark.parametrize("level", ["off", "cheap"])
+    def test_sink_remainder_is_an_internal_error(self, level, monkeypatch, tmp_path):
+        # With backtracking disabled, Max's vertex 1, whose only edge enters
+        # the finished set {0}, is left as a sink of the escape remainder.
+        text = "mpg 1\nvertex 0 MIN\nvertex 1 MAX\nedge 0 0 -1\nedge 1 0 1\n"
+        monkeypatch.setattr(solver_module, "_backtrack_core", lambda game, in_f, val: [])
+        monkeypatch.delenv("MPG_ASSERT", raising=False)
+        cfg = SolverConfig(assertions=AssertLevel[level.upper()])
+        with pytest.raises(SolverInternalError, match="remainder is not a subgame"):
+            reduce_game(parse_game(text), cfg)
+        path = tmp_path / "g.mpg"
+        path.write_text(text)
+        assert cli_main(["solve", str(path), "--assert", level]) == 3
+
+
+def threshold_small_game(i: int) -> Game:
+    """Game ``i`` of the benchmark's ``threshold-small`` corpus."""
+    models = (Model.UNIFORM, Model.CYCLE_HEAVY, Model.LAYERED)
+    return gen_random(GenParams(
+        n=20 + (7 * i) % 61, out_degree=(1, 4), weight_bound=100,
+        model=models[i % 3], seed=1001 + i,
+    ))
+
+
+class TestWorkCounters:
+    """Exact work counts on fixed games.  Making a frame cheaper (deciding a
+    child on a view of its parent, building fewer subgames) must leave the
+    recursion itself, and so every counter, as it is."""
+
+    def test_cli_large_game(self):
+        g = gen_random(GenParams(n=1000, out_degree=(1, 9), weight_bound=10**6, seed=42))
+        cfg = SolverConfig(
+            opt_init=True, opt_bulk=True, remember_potentials=True,
+            assertions=AssertLevel.OFF,
+        )
+        assert solve_threshold(g, cfg).stats == Stats(
+            recursive_calls=47, loop_iterations=45, escapes_fixed=0, bulk_fixed=26,
+            attractor_calls=22, potential_reductions=0, max_depth=10,
+        )
+
+    # Game index -> Stats fields in declaration order, default config.
+    SMALL = {
+        4: (62, 51, 19, 0, 23, 9, 5),
+        7: (114, 103, 63, 0, 25, 15, 7),
+        12: (44, 40, 12, 0, 21, 7, 4),
+        15: (274, 250, 96, 0, 100, 54, 7),
+        20: (32, 31, 12, 0, 7, 12, 5),
+    }
+
+    @pytest.mark.parametrize("i", sorted(SMALL))
+    def test_threshold_small_games(self, i):
+        assert solve_threshold(threshold_small_game(i)).stats == Stats(*self.SMALL[i])
 
 
 class TestStats:

@@ -6,7 +6,9 @@ import pytest
 
 from mpg import (
     Game,
+    NotASubgameError,
     Player,
+    Rng,
     ThresholdMode,
     brute_force_solve,
     compute_zones,
@@ -14,9 +16,10 @@ from mpg import (
     parse_game,
     preprocess_no_zero_cycles,
     reduce_game,
+    restrict,
     serialize_game,
 )
-from conftest import naive_zone_fixpoint, reduced_per_vertex, small_corpus
+from conftest import naive_zone_fixpoint, reduced_per_vertex, small_corpus, subgame_views
 
 
 def corpus_without_zero_cycles(count, seed0=0, max_n=8):
@@ -128,3 +131,21 @@ class TestIsReduced:
                 hits += 1
                 assert z.ZN == brute_force_solve(g).min_region
         assert hits > 10  # the corpus exercises the reduced path
+
+
+class TestViews:
+    def test_view_matches_restricted_game(self):
+        rng = Rng(7)
+        outcomes = []
+        for g in corpus_without_zero_cycles(200, seed0=120, max_n=9):
+            for keep, shift in subgame_views(g, rng):
+                sub = restrict(g, keep, shift)
+                z = compute_zones(g, keep, shift)
+                assert z == compute_zones(sub)
+                outcomes.append(is_reduced(sub, z))
+                assert is_reduced(g, z, keep, shift) == outcomes[-1]
+        assert min(outcomes.count(True), outcomes.count(False)) > 20
+
+    def test_view_with_a_sink_is_not_a_subgame(self, g3):
+        with pytest.raises(NotASubgameError, match="vertex 1 is a sink"):
+            compute_zones(g3, [1])
