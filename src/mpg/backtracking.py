@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Sequence
 
-from .game import Game, Player, dual_game
+from .game import Game, Player
 from .zones import Zones
 
 
@@ -137,23 +137,27 @@ def _attract_max_core(g: Game, in_t: list, phi_t: Sequence) -> tuple:
     return in_a, phi
 
 
-def _safe_init_core(
-    g: Game, protected: frozenset, seeds: frozenset, counter_owner: Player
-) -> frozenset:
-    """Complement of the unsafe backward fixpoint seeded at ``seeds``.
+def safe_init(g: Game, z: Zones, player: Player) -> frozenset:
+    """Largest set from which ``player`` keeps edge weights on their side of
+    zero until their zone is reached (or forever).
 
-    ``counter_owner`` vertices outside the protected and seed zones become
-    unsafe once all their zero-weight edges lead to unsafe vertices; the other
-    player's vertices become unsafe as soon as any edge does.  Vertices in
-    ``protected`` never do.
+    For MIN this contains N and the peak value over the set is 0, so it can
+    seed the finished set; for MAX it contains P and the valley value is 0.
+    It is the complement of an unsafe backward fixpoint seeded at the other
+    player's zone: a ``player`` vertex outside both zones becomes unsafe once
+    all its zero-weight edges lead to unsafe vertices, an opponent vertex as
+    soon as any edge does, and a vertex of ``player``'s zone never does.
+    Weights are read only through ``== 0``, so one fixpoint serves both
+    players without dualising the game.
     """
+    protected, seeds = (z.N, z.P) if player is Player.MIN else (z.P, z.N)
     n = g.n
-    out, inc, esrc, ew, edst, owners = g.out, g.inc, g.esrc, g.eweight, g.edst, g.owners
+    out, inc, esrc, ew, owners = g.out, g.inc, g.esrc, g.eweight, g.owners
     cnt = [0] * n
     for v in range(n):
         if v in protected or v in seeds:
             continue
-        if owners[v] is counter_owner:
+        if owners[v] is player:
             cnt[v] = sum(1 for e in out[v] if ew[e] == 0)
     pending = [False] * n
     unsafe = [False] * n
@@ -168,7 +172,7 @@ def _safe_init_core(
             v = esrc[e]
             if pending[v] or v in protected:
                 continue
-            if owners[v] is counter_owner:
+            if owners[v] is player:
                 if ew[e] == 0:
                     cnt[v] -= 1
                     if cnt[v] == 0:
@@ -178,21 +182,6 @@ def _safe_init_core(
                 pending[v] = True
                 queue.append(v)
     return frozenset(v for v in range(n) if not unsafe[v])
-
-
-def safe_init(g: Game, z: Zones, player: Player) -> frozenset:
-    """Largest set from which ``player`` keeps edge weights on their side of
-    zero until their zone is reached (or forever).
-
-    For MIN this contains N and the peak value over the set is 0, so it can
-    seed the finished set; the MAX version is the mirror image.
-    """
-    if player is Player.MIN:
-        return _safe_init_core(g, protected=z.N, seeds=z.P, counter_owner=Player.MIN)
-    inverted = dual_game(g)
-    return _safe_init_core(
-        inverted, protected=z.P, seeds=z.N, counter_owner=Player.MIN
-    )
 
 
 def _good_escape_core(

@@ -65,6 +65,15 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--assert", dest="assert_level", choices=sorted(_ASSERT_LEVELS), default="cheap")
 
 
+def _add_gen_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--degree-min", type=int, default=1)
+    sub.add_argument("--degree-max", type=int, default=3)
+    sub.add_argument("--weight-bound", type=int, default=4)
+    sub.add_argument("--min-fraction", default="1/2")
+    sub.add_argument("--model", choices=sorted(_MODELS), default=Model.UNIFORM.value)
+    sub.add_argument("--seed", type=int, default=0)
+
+
 def _config_from_args(args) -> SolverConfig:
     """The one place a SolverConfig is built from parsed arguments.
 
@@ -83,6 +92,15 @@ def _config_from_args(args) -> SolverConfig:
         threshold_mode=ThresholdMode.STRICT if flag("strict_threshold") else ThresholdMode.WEAK,
         assertions=_ASSERT_LEVELS[level],
     )
+
+
+def _configs(base: SolverConfig, policies, opt_combos) -> list:
+    """``base`` under each policy and (opt_init, opt_bulk, remember) triple."""
+    return [
+        replace(base, policy=policy, opt_init=i, opt_bulk=b, remember_potentials=r)
+        for policy in policies
+        for i, b, r in opt_combos
+    ]
 
 
 def _load_game(path: str) -> Game:
@@ -196,12 +214,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_diff(args) -> int:
-    base = _config_from_args(args)
-    configs = [
-        replace(base, policy=policy, opt_init=i, opt_bulk=b, remember_potentials=r)
-        for policy in Policy
-        for i, b, r in _OPT_COMBOS
-    ]
+    configs = _configs(_config_from_args(args), Policy, _OPT_COMBOS)
     agree = 0
     for i in range(args.count):
         n = 2 + i % max(args.max_n - 1, 1)
@@ -225,10 +238,10 @@ def cmd_diff(args) -> int:
 
 def _bench_instances(args) -> list:
     if args.corpus:
-        items = []
-        for path in sorted(Path(args.corpus).glob("*.mpg")):
-            items.append((path.stem, parse_game(path.read_bytes())))
-        return items
+        corpus = Path(args.corpus)
+        if not corpus.is_dir():
+            raise NotADirectoryError(f"corpus {args.corpus} is not a directory")
+        return [(path.stem, parse_game(path.read_bytes())) for path in sorted(corpus.glob("*.mpg"))]
     return [
         (f"gen-{args.seed + i}", gen_random(_gen_params(args, args.seed + i)))
         for i in range(args.count)
@@ -243,30 +256,23 @@ def cmd_bench(args) -> int:
         opt_combos = _OPT_COMBOS
     else:
         opt_combos = [(base.opt_init, base.opt_bulk, base.remember_potentials)]
+    configs = _configs(base, policies, opt_combos)
     rows = []
     for name, game in instances:
-        for policy in policies:
-            for opt_init, opt_bulk, remember in opt_combos:
-                cfg = replace(
-                    base,
-                    policy=policy,
-                    opt_init=opt_init,
-                    opt_bulk=opt_bulk,
-                    remember_potentials=remember,
-                )
-                start = time.perf_counter_ns()
-                res = solve_threshold(game, cfg)
-                wall_us = (time.perf_counter_ns() - start) // 1000
-                s = res.stats
-                rows.append(
-                    [
-                        name, game.n, game.m, game.W, policy.value,
-                        int(opt_init), int(opt_bulk), int(remember), wall_us,
-                        s.recursive_calls, s.loop_iterations, s.escapes_fixed,
-                        s.bulk_fixed, s.attractor_calls, s.potential_reductions,
-                        s.max_depth, _result_hash(game, res),
-                    ]
-                )
+        for cfg in configs:
+            start = time.perf_counter_ns()
+            res = solve_threshold(game, cfg)
+            wall_us = (time.perf_counter_ns() - start) // 1000
+            s = res.stats
+            rows.append(
+                [
+                    name, game.n, game.m, game.W, cfg.policy.value,
+                    int(cfg.opt_init), int(cfg.opt_bulk), int(cfg.remember_potentials),
+                    wall_us, s.recursive_calls, s.loop_iterations, s.escapes_fixed,
+                    s.bulk_fixed, s.attractor_calls, s.potential_reductions,
+                    s.max_depth, _result_hash(game, res),
+                ]
+            )
     with open(args.csv, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(BENCH_HEADER.split(","))
@@ -309,12 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = subs.add_parser("gen", help="generate a random game")
     gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--degree-min", type=int, default=1)
-    gen.add_argument("--degree-max", type=int, default=3)
-    gen.add_argument("--weight-bound", type=int, default=4)
-    gen.add_argument("--min-fraction", default="1/2")
-    gen.add_argument("--model", choices=sorted(_MODELS), default=Model.UNIFORM.value)
-    gen.add_argument("--seed", type=int, default=0)
+    _add_gen_flags(gen)
     gen.add_argument("-o", "--output")
     gen.set_defaults(func=cmd_gen)
 
@@ -335,12 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--csv", required=True)
     bench.add_argument("--count", type=int, default=10)
     bench.add_argument("--n", type=int, default=100)
-    bench.add_argument("--degree-min", type=int, default=1)
-    bench.add_argument("--degree-max", type=int, default=3)
-    bench.add_argument("--weight-bound", type=int, default=4)
-    bench.add_argument("--min-fraction", default="1/2")
-    bench.add_argument("--model", choices=sorted(_MODELS), default=Model.UNIFORM.value)
-    bench.add_argument("--seed", type=int, default=0)
+    _add_gen_flags(bench)
     bench.add_argument("--policy", dest="policies", action="append", choices=sorted(_POLICIES))
     bench.add_argument("--opt-init", action="store_true")
     bench.add_argument("--opt-bulk", action="store_true")

@@ -141,39 +141,36 @@ def _choose_sup(g: Game, zones: Zones, cfg: SolverConfig) -> bool:
     return len(zones.N) <= len(zones.P)
 
 
-def _assert_certificate(g: Game, mn: list, mx: list, phi: list) -> None:
-    relabeled = g.with_weights(
-        [g.eweight[e] + phi[g.edst[e]] - phi[g.esrc[e]] for e in range(g.m)]
-    )
-    z = compute_zones(relabeled)
-    if not is_reduced(relabeled, z):
+def _assert_certificate(g: Game, mn: list, phi: list) -> None:
+    z = compute_zones(g, None, phi)
+    if not is_reduced(g, z, None, phi):
         raise SolverInternalError("certificate check failed: game not reduced")
-    want_min = frozenset(v for v in range(g.n) if mn[v])
-    want_max = frozenset(v for v in range(g.n) if mx[v])
-    if z.ZN != want_min or z.ZP != want_max:
+    if z.ZN != frozenset(v for v in range(g.n) if mn[v]):
         raise SolverInternalError("certificate check failed: regions mismatch zones")
 
 
 def _sup_loop(gl, zl, cfg, stats, depth, hook):
     """Escape loop computing peak values toward N over the loop game ``gl``.
 
-    Yields child views to solve (see ``_frame``); returns either
-    ``(None, values)`` when every vertex got a finite peak value (caller
-    relabels and restarts) or ``((min, max, phi), None)`` when an attractor
-    ended the call.
+    Yields child views to solve (see ``_frame``), each answered by the
+    child's ``(mn, phi)``; returns either ``(None, values)`` when every
+    vertex got a finite peak value (caller relabels and restarts) or
+    ``((mn, phi), None)`` when an attractor ended the call.
+
+    Each pass fixes one escape with one step for both players.  While the
+    child calls part of the remainder Max-won, Min escapes from that side
+    (``plus``); if Min has no edge out of it, its Max attractor is split off
+    and the rest solved as a child.  Otherwise Max escapes from the Min-won
+    remainder.
     """
     n = gl.n
     owners, out, edst, ew = gl.owners, gl.out, gl.edst, gl.eweight
     cheap = cfg.assertions >= AssertLevel.CHEAP
     full = cfg.assertions >= AssertLevel.FULL
-    if cfg.opt_init:
-        seed = safe_init(gl, zl, Player.MIN)
-        in_f = [v in seed for v in range(n)]
-    else:
-        zn_seed = zl.N
-        in_f = [v in zn_seed for v in range(n)]
+    seed = safe_init(gl, zl, Player.MIN) if cfg.opt_init else zl.N
+    in_f = [v in seed for v in range(n)]
     val = [0] * n
-    pred_phi = None
+    pred_phi = [0] * n
     guard = 0
     while True:
         guard += 1
@@ -189,103 +186,59 @@ def _sup_loop(gl, zl, cfg, stats, depth, hook):
             if hook is not None:
                 hook(gl, {v: val[v] for v in range(n)}, depth)
             return None, val
-        # The child starts from the previous potentials, if remembered.
-        shift = pred_phi if cfg.remember_potentials else None
-        hm, hp, hphi = yield gl, rest, shift
-        if shift is not None:
-            for x, pv in zip(hphi, rest):
-                pred_phi[pv] += x
-        else:
-            if pred_phi is None:
-                pred_phi = [0] * n
-            for x, pv in zip(hphi, rest):
-                pred_phi[pv] = x
-        side_plus = [rest[i] for i in range(len(rest)) if hp[i]]
-        if side_plus:
-            best = None
-            for v in side_plus:
-                if owners[v] is Player.MIN:
-                    for e in out[v]:
-                        d = edst[e]
-                        if in_f[d]:
-                            key = (ew[e] + val[d] - pred_phi[v], v, d, ew[e])
-                            if best is None or key < best:
-                                best = key
-            if best is not None:
-                m = best[0]
-                if cfg.opt_bulk:
-                    fixed = _good_escape_core(
-                        gl, in_f, val, side_plus, pred_phi, m, plus=True
-                    )
-                    if full and best[1] not in fixed:
-                        raise SolverInternalError("bulk set misses the optimal escape")
-                    for v in fixed:
-                        val[v] = m + pred_phi[v]
-                        in_f[v] = True
-                    stats.bulk_fixed += len(fixed)
-                else:
-                    v = best[1]
-                    val[v] = m + pred_phi[v]
-                    in_f[v] = True
-                    stats.escapes_fixed += 1
-                continue
-            # The Max-won side cannot be escaped: attract to it and split off.
-            stats.attractor_calls += 1
-            in_t = [False] * n
-            for v in side_plus:
-                in_t[v] = True
-            in_a, phi_a = _attract_max_core(gl, in_t, pred_phi)
-            keep = [v for v in range(n) if not in_a[v]]
-            if keep:
-                m2, p2, phi2 = yield gl, keep, None
-            else:
-                m2 = p2 = phi2 = []
-            delta = _glue_delta_arrays(gl, keep, in_a, phi_a, phi2)
-            mn = [False] * n
-            mx = list(in_a)
-            phi = [0] * n
-            for v in range(n):
-                if in_a[v]:
-                    phi[v] = phi_a[v] + delta
-            for i, pv in enumerate(keep):
-                phi[pv] = phi2[i]
-                if m2[i]:
-                    mn[pv] = True
-                else:
-                    mx[pv] = True
-            return (mn, mx, phi), None
-        # No Max-won side: fix an escape from the Min-won remainder.
+        # Children after the first start from the previous potentials, if remembered.
+        shift = pred_phi if cfg.remember_potentials and guard > 1 else None
+        mn_rest, phi_rest = yield gl, rest, shift
+        for x, pv in zip(phi_rest, rest):
+            pred_phi[pv] = x if shift is None else pred_phi[pv] + x
+        plus = not all(mn_rest)
+        side = [v for v, won in zip(rest, mn_rest) if not won] if plus else rest
+        owner, sign = (Player.MIN, 1) if plus else (Player.MAX, -1)
         best = None
-        for v in rest:
-            if owners[v] is Player.MAX:
+        for v in side:
+            if owners[v] is owner:
                 for e in out[v]:
                     d = edst[e]
                     if in_f[d]:
-                        expr = ew[e] + val[d] - pred_phi[v]
-                        key = (-expr, v, d, ew[e])
+                        w = ew[e]
+                        key = (sign * (w + val[d] - pred_phi[v]), v, d, w)
                         if best is None or key < best:
                             best = key
-        if best is None:
-            raise SolverInternalError("no escape edge from the Min-won remainder")
-        m = -best[0]
-        if cfg.opt_bulk:
-            fixed = _good_escape_core(gl, in_f, val, rest, pred_phi, m, plus=False)
-            if full and best[1] not in fixed:
-                raise SolverInternalError("bulk set misses the optimal escape")
+        if best is not None:
+            m = sign * best[0]
+            if cfg.opt_bulk:
+                fixed = _good_escape_core(gl, in_f, val, side, pred_phi, m, plus=plus)
+                if full and best[1] not in fixed:
+                    raise SolverInternalError("bulk set misses the optimal escape")
+                stats.bulk_fixed += len(fixed)
+            else:
+                fixed = [best[1]]
+                stats.escapes_fixed += 1
             for v in fixed:
                 val[v] = m + pred_phi[v]
                 in_f[v] = True
-            stats.bulk_fixed += len(fixed)
-        else:
-            v = best[1]
-            val[v] = m + pred_phi[v]
-            in_f[v] = True
-            stats.escapes_fixed += 1
+            continue
+        if not plus:
+            raise SolverInternalError("no escape edge from the Min-won remainder")
+        # The Max-won side cannot be escaped: attract to it and split off.
+        stats.attractor_calls += 1
+        in_t = [False] * n
+        for v in side:
+            in_t[v] = True
+        in_a, phi_a = _attract_max_core(gl, in_t, pred_phi)
+        keep = [v for v in range(n) if not in_a[v]]
+        mn_keep, phi_keep = (yield gl, keep, None) if keep else ([], [])
+        delta = _glue_delta_arrays(gl, in_a, phi_a, phi_keep)
+        mn = [False] * n
+        phi = [phi_a[v] + delta if in_a[v] else 0 for v in range(n)]
+        for pv, won, x in zip(keep, mn_keep, phi_keep):
+            mn[pv] = won
+            phi[pv] = x
+        return (mn, phi), None
 
 
-def _glue_delta_arrays(gl, keep, in_a, phi_a, phi2) -> int:
+def _glue_delta_arrays(gl, in_a, phi_a, phi_keep) -> int:
     """Shift making attractor-side modified weights of crossing edges >= 0."""
-    phi_rest = {pv: phi2[i] for i, pv in enumerate(keep)}
     min_w = None
     for e in range(gl.m):
         if not in_a[gl.esrc[e]] and in_a[gl.edst[e]]:
@@ -294,17 +247,18 @@ def _glue_delta_arrays(gl, keep, in_a, phi_a, phi2) -> int:
     if min_w is None:
         return 0
     min_phi_a = min(phi_a[v] for v in range(gl.n) if in_a[v])
-    max_phi_rest = max(phi_rest.values())
-    return -min_w - min_phi_a + max_phi_rest
+    return -min_w - min_phi_a + max(phi_keep)
 
 
 def _frame(view: tuple, cfg: SolverConfig, stats: Stats, depth: int, hook):
-    """One recursion level; yields child views, returns (min, max, phi) lists.
+    """One recursion level; yields child views, returns ``(mn, phi)`` lists.
 
     A view is (game, ascending kept vertices, potential shift): the subgame
     ``restrict(game, kept, shift)``, or the game itself when ``kept`` is
     None.  The entry zones are computed on the view, and the subgame is built
-    only if it is not already reduced.
+    only if it is not already reduced.  ``mn`` marks the Min region; the
+    Max region is its complement, so flipping a dualised answer back is a
+    negation of both lists.
     """
     stats.recursive_calls += 1
     cheap = cfg.assertions >= AssertLevel.CHEAP
@@ -346,15 +300,14 @@ def _frame(view: tuple, cfg: SolverConfig, stats: Stats, depth: int, hook):
                     "zones failed to shrink into the relabeled zone"
                 )
             continue
-        mn, mx, phi = outcome
+        mn, phi = outcome
         if flip:
-            mn, mx, phi = mx, mn, [-x for x in phi]
+            mn, phi = [not x for x in mn], [-x for x in phi]
         if full:
-            _assert_certificate(g, mn, mx, phi)
-        return mn, mx, [a + p for a, p in zip(acc, phi)]
+            _assert_certificate(g, mn, phi)
+        return mn, [a + p for a, p in zip(acc, phi)]
     zn = zones.ZN
-    mn = [v in zn for v in range(n)]
-    return mn, [not x for x in mn], acc
+    return [v in zn for v in range(n)], acc
 
 
 def _drive(g: Game, cfg: SolverConfig, stats: Stats, limit: int, hook):
@@ -392,10 +345,10 @@ def reduce_game(
     stats = Stats()
     if g.n == 0:
         return SolveResult(frozenset(), frozenset(), {}, {}, {}, stats)
-    mn, mx, phi = _drive(g, cfg, stats, limit, on_sup_values)
+    mn, phi = _drive(g, cfg, stats, limit, on_sup_values)
     result = SolveResult(
         min_region=frozenset(v for v in range(g.n) if mn[v]),
-        max_region=frozenset(v for v in range(g.n) if mx[v]),
+        max_region=frozenset(v for v in range(g.n) if not mn[v]),
         potential={v: phi[v] for v in range(g.n)},
         min_strategy={},
         max_strategy={},

@@ -14,6 +14,7 @@ from mpg import (
     SolverInternalError,
     Stats,
     ThresholdMode,
+    Zones,
     apply_potential,
     brute_force_infsigma,
     brute_force_supsigma,
@@ -197,6 +198,19 @@ class TestSafeInit:
             for v in safe:
                 assert oracle[v] == 0
 
+    def test_max_side_is_min_side_of_dual(self):
+        # The exact set, maximality included: Max's safe set is Min's in the
+        # dual game, whose N and P zones are this game's P and N.  Raw games
+        # keep their zero-weight edges, so the sets reach beyond the zone.
+        grew = 0
+        for g in small_corpus(150, seed0=702, max_n=8, weight_bound=2):
+            z = compute_zones(g)
+            swapped = Zones(N=z.P, Z=z.Z, P=z.N, ZN=z.ZP, ZP=z.ZN)
+            safe = safe_init(g, z, Player.MAX)
+            assert safe == safe_init(dual_game(g), swapped, Player.MIN)
+            grew += safe != z.P
+        assert grew > 20
+
 
 def escape_game(h1_back_weight: int):
     """f (finished, Min, -1 loop); h0 Min with escape +1 to f; h1 Max."""
@@ -249,7 +263,7 @@ class TestGoodEscapeSet:
         loop = _sup_loop(g, compute_zones(g), SolverConfig(), Stats(), 0, None)
         assert next(loop)[1] == [1, 2]
         with pytest.raises(SolverInternalError, match="no escape edge"):
-            loop.send(([True, True], [False, False], [0, 0]))
+            loop.send(([True, True], [0, 0]))
 
     def test_minus_case_mirrors_plus(self):
         # f (Max, +1 loop finished); h0 Max escape -1 to f; h1 Min behind it.

@@ -295,6 +295,13 @@ class TestBench:
             rows = list(csv.reader(fh))
         assert rows == [BENCH_HEADER.split(",")]
 
+    def test_missing_corpus_is_an_input_error(self, tmp_path, capsys):
+        csv_path = tmp_path / "out.csv"
+        code = main(["bench", "--corpus", str(tmp_path / "absent"), "--csv", str(csv_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not csv_path.exists()
+
     def test_generated_instances(self, tmp_path):
         csv_path = tmp_path / "gen.csv"
         assert main(

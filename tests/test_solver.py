@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -177,13 +178,13 @@ class TestGlueDelta:
         g = parse_game(
             "mpg 1\nvertex 0 MIN\nvertex 1 MAX\nedge 0 1 -3\nedge 0 0 -1\nedge 1 1 1\n"
         )
-        assert _glue_delta_arrays(g, [0], [False, True], [0, 0], [0]) == 3
+        assert _glue_delta_arrays(g, [False, True], [0, 0], [0]) == 3
 
     def test_no_crossing_edges(self):
         g = parse_game(
             "mpg 1\nvertex 0 MIN\nvertex 1 MAX\nedge 0 0 -1\nedge 1 1 1\n"
         )
-        assert _glue_delta_arrays(g, [0], [False, True], [0, 5], [7]) == 0
+        assert _glue_delta_arrays(g, [False, True], [0, 5], [7]) == 0
 
     def test_worked_example(self):
         g = parse_game(
@@ -191,7 +192,7 @@ class TestGlueDelta:
             "edge 0 2 -3\nedge 1 3 5\nedge 0 1 0\nedge 1 0 0\nedge 2 3 0\nedge 3 2 0\n"
         )
         phi_a, phi_rest = [0, 0, 0, 2], {0: 1, 1: 4}
-        delta = _glue_delta_arrays(g, [0, 1], [False, False, True, True], phi_a, [1, 4])
+        delta = _glue_delta_arrays(g, [False, False, True, True], phi_a, [1, 4])
         assert delta == 7
         # the returned shift satisfies the gluing bound on every crossing edge
         for e in range(g.m):
@@ -483,6 +484,27 @@ class TestWorkCounters:
     @pytest.mark.parametrize("i", sorted(SMALL))
     def test_threshold_small_games(self, i):
         assert solve_threshold(threshold_small_game(i)).stats == Stats(*self.SMALL[i])
+
+    def test_all_configurations_digest(self):
+        # Regions agree across configurations (test_config_invariance_on_corpus);
+        # this pins the rest of each answer, which depends on the escape
+        # order: work counters, potential and strategies of all 40
+        # configurations, under CHEAP and FULL assertions.
+        models = (Model.UNIFORM, Model.CYCLE_HEAVY, Model.LAYERED)
+        digest = hashlib.sha256()
+        for i in range(6):
+            g = gen_random(GenParams(
+                n=8 + 3 * i, out_degree=(1, 4), weight_bound=5, model=models[i % 3], seed=90 + i,
+            ))
+            for cfg in all_configs() + all_configs(AssertLevel.FULL):
+                res = solve_threshold(g, cfg)
+                digest.update(repr((
+                    res.stats, sorted(res.potential.items()),
+                    sorted(res.min_strategy.items()), sorted(res.max_strategy.items()),
+                )).encode())
+        assert digest.hexdigest() == (
+            "6e21d6c5b6a496ec5f5d35711ea1d2ecb1bbecabeb769f178484c75a0b732ad2"
+        )
 
 
 class TestStats:
