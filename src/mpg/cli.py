@@ -57,11 +57,15 @@ BENCH_HEADER = (
 )
 
 
-def _add_config_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--policy", choices=sorted(_POLICIES), default=Policy.SMALLER_ZONE.value)
-    sub.add_argument("--opt-init", action="store_true")
-    sub.add_argument("--opt-bulk", action="store_true")
-    sub.add_argument("--remember-potentials", action="store_true")
+def _add_config_flags(
+    sub: argparse.ArgumentParser, *, policy: bool = True, switches: tuple = ()
+) -> None:
+    """Solver configuration flags; ``switches`` are more store-true flags put
+    before ``--assert``.  Without ``policy`` the caller declares its own."""
+    if policy:
+        sub.add_argument("--policy", choices=sorted(_POLICIES), default=Policy.SMALLER_ZONE.value)
+    for flag in ("--opt-init", "--opt-bulk", "--remember-potentials", *switches):
+        sub.add_argument(flag, action="store_true")
     sub.add_argument("--assert", dest="assert_level", choices=sorted(_ASSERT_LEVELS), default="cheap")
 
 
@@ -213,11 +217,19 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _check_count(count: int) -> None:
+    if count < 0:
+        raise ValueError(f"--count must be >= 0, got {count}")
+
+
 def cmd_diff(args) -> int:
+    _check_count(args.count)
+    if args.max_n < 2:
+        raise ValueError(f"--max-n must be >= 2, got {args.max_n}")
     configs = _configs(_config_from_args(args), Policy, _OPT_COMBOS)
     agree = 0
     for i in range(args.count):
-        n = 2 + i % max(args.max_n - 1, 1)
+        n = 2 + i % (args.max_n - 1)
         game = gen_random(GenParams(n=n, out_degree=(1, 3), weight_bound=4, seed=args.seed + i))
         oracle = brute_force_solve(game, args.budget)
         for cfg in configs:
@@ -249,6 +261,7 @@ def _bench_instances(args) -> list:
 
 
 def cmd_bench(args) -> int:
+    _check_count(args.count)
     base = _config_from_args(args)
     instances = _bench_instances(args)
     policies = [_POLICIES[p] for p in args.policies] if args.policies else [base.policy]
@@ -338,12 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--n", type=int, default=100)
     _add_gen_flags(bench)
     bench.add_argument("--policy", dest="policies", action="append", choices=sorted(_POLICIES))
-    bench.add_argument("--opt-init", action="store_true")
-    bench.add_argument("--opt-bulk", action="store_true")
-    bench.add_argument("--remember-potentials", action="store_true")
-    bench.add_argument("--sweep-opts", action="store_true")
-    bench.add_argument("--strict-threshold", action="store_true")
-    bench.add_argument("--assert", dest="assert_level", choices=sorted(_ASSERT_LEVELS), default="cheap")
+    _add_config_flags(bench, policy=False, switches=("--sweep-opts", "--strict-threshold"))
     bench.set_defaults(func=cmd_bench)
 
     return parser

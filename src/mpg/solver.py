@@ -37,7 +37,7 @@ from .game import (
     preprocess_no_zero_cycles,
     restrict,
 )
-from .zones import Zones, compute_zones, is_reduced
+from .zones import Zones, compute_zones, is_reduced, reduced_at
 
 
 class Policy(enum.Enum):
@@ -141,12 +141,24 @@ def _choose_sup(g: Game, zones: Zones, cfg: SolverConfig) -> bool:
     return len(zones.N) <= len(zones.P)
 
 
-def _assert_certificate(g: Game, mn: list, phi: list) -> None:
-    z = compute_zones(g, None, phi)
-    if not is_reduced(g, z, None, phi):
+def _assert_certificate(g: Game, keep, shift, mn: list) -> None:
+    """Raise unless the view (g, keep, shift) is reduced with ZN marked by ``mn``."""
+    z = compute_zones(g, keep, shift)
+    if not is_reduced(g, z, keep, shift):
         raise SolverInternalError("certificate check failed: game not reduced")
-    if z.ZN != frozenset(v for v in range(g.n) if mn[v]):
+    if z.ZN != frozenset(i for i, won in enumerate(mn) if won):
         raise SolverInternalError("certificate check failed: regions mismatch zones")
+
+
+def _hint_holds(g: Game, shift, sides: list, gone: list) -> bool:
+    """True if ``sides`` still meets the reduced rule once ``gone`` has left.
+
+    Only a vertex with an edge into ``gone`` lost part of its view, so only
+    the in-view predecessors of ``gone`` (``sides`` nonzero) are rechecked.
+    """
+    inc, esrc = g.inc, g.esrc
+    touched = {u for r in gone for e in inc[r] if sides[u := esrc[e]]}
+    return reduced_at(g, sides, touched, shift)
 
 
 def _sup_loop(gl, zl, cfg, stats, depth, hook):
@@ -156,6 +168,15 @@ def _sup_loop(gl, zl, cfg, stats, depth, hook):
     child's ``(mn, phi)``; returns either ``(None, values)`` when every
     vertex got a finite peak value (caller relabels and restarts) or
     ``((mn, phi), None)`` when an attractor ended the call.
+
+    Each remainder is the previous one minus the vertices fixed by the
+    escape and added by backtracking.  When the previous answer certifies
+    the next view as it stands (always under ``remember_potentials``, whose
+    next shift is the previous one plus the child's potential; otherwise
+    when that potential is zero), the view carries it as the hint
+    ``(sides, gone)``: ``sides`` over ``gl`` is 1 on the Min side, -1 on the
+    Max side and 0 outside the remainder, and ``gone`` lists the vertices
+    that left it.  The attractor-split child gets no hint.
 
     Each pass fixes one escape with one step for both players.  While the
     child calls part of the remainder Max-won, Min escapes from that side
@@ -171,13 +192,16 @@ def _sup_loop(gl, zl, cfg, stats, depth, hook):
     in_f = [v in seed for v in range(n)]
     val = [0] * n
     pred_phi = [0] * n
+    sides = [0] * n
+    carried = False
+    gone = []
     guard = 0
     while True:
         guard += 1
         if guard > 4 * n + 16:
             raise SolverInternalError("escape loop failed to converge")
         stats.loop_iterations += 1
-        _backtrack_core(gl, in_f, val)
+        gone += _backtrack_core(gl, in_f, val)
         if cheap:
             if any(val[v] < 0 for v in range(n) if in_f[v]):
                 raise SolverInternalError("negative peak value after backtracking")
@@ -188,9 +212,15 @@ def _sup_loop(gl, zl, cfg, stats, depth, hook):
             return None, val
         # Children after the first start from the previous potentials, if remembered.
         shift = pred_phi if cfg.remember_potentials and guard > 1 else None
-        mn_rest, phi_rest = yield gl, rest, shift
+        for v in gone:
+            sides[v] = 0
+        mn_rest, phi_rest = yield gl, rest, shift, (sides, gone) if carried else None
         for x, pv in zip(phi_rest, rest):
             pred_phi[pv] = x if shift is None else pred_phi[pv] + x
+        carried = cfg.remember_potentials or not any(phi_rest)
+        if carried:
+            for v, won in zip(rest, mn_rest):
+                sides[v] = 1 if won else -1
         plus = not all(mn_rest)
         side = [v for v, won in zip(rest, mn_rest) if not won] if plus else rest
         owner, sign = (Player.MIN, 1) if plus else (Player.MAX, -1)
@@ -200,8 +230,7 @@ def _sup_loop(gl, zl, cfg, stats, depth, hook):
                 for e in out[v]:
                     d = edst[e]
                     if in_f[d]:
-                        w = ew[e]
-                        key = (sign * (w + val[d] - pred_phi[v]), v, d, w)
+                        key = (sign * (ew[e] + val[d] - pred_phi[v]), v)
                         if best is None or key < best:
                             best = key
         if best is not None:
@@ -217,6 +246,7 @@ def _sup_loop(gl, zl, cfg, stats, depth, hook):
             for v in fixed:
                 val[v] = m + pred_phi[v]
                 in_f[v] = True
+            gone = fixed
             continue
         if not plus:
             raise SolverInternalError("no escape edge from the Min-won remainder")
@@ -227,7 +257,7 @@ def _sup_loop(gl, zl, cfg, stats, depth, hook):
             in_t[v] = True
         in_a, phi_a = _attract_max_core(gl, in_t, pred_phi)
         keep = [v for v in range(n) if not in_a[v]]
-        mn_keep, phi_keep = (yield gl, keep, None) if keep else ([], [])
+        mn_keep, phi_keep = (yield gl, keep, None, None) if keep else ([], [])
         delta = _glue_delta_arrays(gl, in_a, phi_a, phi_keep)
         mn = [False] * n
         phi = [phi_a[v] + delta if in_a[v] else 0 for v in range(n)]
@@ -253,17 +283,35 @@ def _glue_delta_arrays(gl, in_a, phi_a, phi_keep) -> int:
 def _frame(view: tuple, cfg: SolverConfig, stats: Stats, depth: int, hook):
     """One recursion level; yields child views, returns ``(mn, phi)`` lists.
 
-    A view is (game, ascending kept vertices, potential shift): the subgame
-    ``restrict(game, kept, shift)``, or the game itself when ``kept`` is
-    None.  The entry zones are computed on the view, and the subgame is built
-    only if it is not already reduced.  ``mn`` marks the Min region; the
-    Max region is its complement, so flipping a dualised answer back is a
-    negation of both lists.
+    A view is (game, ascending kept vertices, potential shift, hint): the
+    subgame ``restrict(game, kept, shift)``, or the game itself when ``kept``
+    is None.  The entry zones are computed on the view, and the subgame is
+    built only if it is not already reduced.  ``mn`` marks the Min region;
+    the Max region is its complement, so flipping a dualised answer back is
+    a negation of both lists.
+
+    A hint ``(sides, gone)`` (see ``_sup_loop``) is a side assignment that
+    met ``is_reduced``'s per-vertex rule on a view that has since lost the
+    vertices ``gone``.  If the in-view predecessors of ``gone`` still meet
+    the rule, the view is decided without zones: a side assignment that
+    meets the rule at every vertex is ZN/ZP.  Zero-weight edges form a DAG,
+    as no cycle weighs zero, and induction on the longest zero path from a
+    vertex shows that each Min-side vertex is in N or joins ZN by the
+    closure rule; the same induction over the order in which ZN is built
+    shows that ZN never enters the Max side.  So the full path would find
+    the view reduced and return the same ``mn`` with a zero potential.
+    Otherwise the frame falls through to that path.
     """
     stats.recursive_calls += 1
     cheap = cfg.assertions >= AssertLevel.CHEAP
     full = cfg.assertions >= AssertLevel.FULL
-    g, keep, shift = view
+    g, keep, shift, hint = view
+    if hint is not None and _hint_holds(g, shift, *hint):
+        sides = hint[0]
+        mn = [sides[v] > 0 for v in keep]
+        if full:
+            _assert_certificate(g, keep, shift, mn)
+        return mn, [0] * len(keep)
     try:
         zones = compute_zones(g, keep, shift)
     except NotASubgameError as exc:
@@ -304,14 +352,14 @@ def _frame(view: tuple, cfg: SolverConfig, stats: Stats, depth: int, hook):
         if flip:
             mn, phi = [not x for x in mn], [-x for x in phi]
         if full:
-            _assert_certificate(g, mn, phi)
+            _assert_certificate(g, None, phi, mn)
         return mn, [a + p for a, p in zip(acc, phi)]
     zn = zones.ZN
     return [v in zn for v in range(n)], acc
 
 
 def _drive(g: Game, cfg: SolverConfig, stats: Stats, limit: int, hook):
-    stack = [_frame((g, None, None), cfg, stats, 0, hook)]
+    stack = [_frame((g, None, None, None), cfg, stats, 0, hook)]
     sent = None
     while True:
         try:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .game import Game, NotASubgameError, Player
 
@@ -127,13 +127,26 @@ def is_reduced(
     """
     if verts is None:
         verts = range(g.n)
-    sh = [0] * g.n if shift is None else shift
-    out, ew, edst, owners = g.out, g.eweight, g.edst, g.owners
     zn = z.ZN
     # side[v]: 1 for a kept vertex in ZN, -1 for one in ZP, 0 outside the view.
     side = [0] * g.n
     for i, v in enumerate(verts):
         side[v] = 1 if i in zn else -1
+    return reduced_at(g, side, verts, shift)
+
+
+def reduced_at(
+    g: Game, side: Sequence[int], verts: Iterable[int], shift: Sequence[int] | None = None
+) -> bool:
+    """True iff each vertex of ``verts`` is reduced under the side assignment.
+
+    ``side[v]`` is 1 for a vertex of the view on the ZN side, -1 for one on
+    the ZP side and 0 for a vertex outside the view; edges into the latter do
+    not count.  The rule is ``is_reduced``'s, for one vertex at a time, and a
+    vertex with no edge inside the view is never reduced.
+    """
+    sh = [0] * g.n if shift is None else shift
+    out, ew, edst, owners = g.out, g.eweight, g.edst, g.owners
     is_min = Player.MIN
     for v in verts:
         # Per edge inside the view: does it stay in v's zone, on its side of zero?
@@ -144,6 +157,6 @@ def is_reduced(
         else:
             good = [side[d] < 0 and ew[e] + sh[d] >= sv for e in out[v] if side[d := edst[e]]]
             ok = all(good) if owners[v] is is_min else any(good)
-        if not ok:
+        if not ok or not good:
             return False
     return True

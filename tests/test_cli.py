@@ -247,6 +247,13 @@ class TestDiff:
         out = capsys.readouterr().out
         assert "mismatch" in out and "mpg 1" in out
 
+    @pytest.mark.parametrize("argv", [["--count", "-3"], ["--max-n", "1"], ["--max-n", "-4"]])
+    def test_bad_count_or_size_is_an_input_error(self, argv, capsys):
+        assert main(["diff", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "agree" not in captured.out
+
 
 class TestBench:
     def test_rows_per_instance_and_policy(self, tmp_path, capsys):
@@ -299,6 +306,12 @@ class TestBench:
         csv_path = tmp_path / "out.csv"
         code = main(["bench", "--corpus", str(tmp_path / "absent"), "--csv", str(csv_path)])
         assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not csv_path.exists()
+
+    def test_negative_count_is_an_input_error(self, tmp_path, capsys):
+        csv_path = tmp_path / "out.csv"
+        assert main(["bench", "--count", "-1", "--csv", str(csv_path)]) == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not csv_path.exists()
 

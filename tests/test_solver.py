@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from mpg import (
     gen_random,
     GenParams,
     Model,
+    NotASubgameError,
     is_reduced,
     parse_game,
     preprocess_no_zero_cycles,
@@ -34,7 +36,7 @@ from mpg import (
     verify_strategy,
 )
 from mpg.cli import main as cli_main
-from mpg.solver import _cycle_mean_bounds, _glue_delta_arrays
+from mpg.solver import _cycle_mean_bounds, _frame, _glue_delta_arrays, _hint_holds
 from conftest import small_corpus
 
 FULL = SolverConfig(assertions=AssertLevel.FULL)
@@ -505,6 +507,99 @@ class TestWorkCounters:
         assert digest.hexdigest() == (
             "6e21d6c5b6a496ec5f5d35711ea1d2ecb1bbecabeb769f178484c75a0b732ad2"
         )
+
+    def test_carried_certificates_skip_zones(self, monkeypatch):
+        # 17 of the 47 frames of the n=1000 game are decided by the previous
+        # child's certificate, so only 30 compute zones.
+        calls = []
+        real = solver_module.compute_zones
+
+        def counted(*args):
+            calls.append(len(args))
+            return real(*args)
+
+        monkeypatch.setattr(solver_module, "compute_zones", counted)
+        g = gen_random(GenParams(n=1000, out_degree=(1, 9), weight_bound=10**6, seed=42))
+        cfg = SolverConfig(
+            opt_init=True, opt_bulk=True, remember_potentials=True,
+            assertions=AssertLevel.OFF,
+        )
+        stats = solve_threshold(g, cfg).stats
+        assert stats.recursive_calls == 47
+        assert len(calls) == 30
+
+
+def run_frame(view, cfg):
+    """Run ``_frame`` on a view that must be decided without children."""
+    frame = _frame(view, cfg, Stats(), 1, None)
+    with pytest.raises(StopIteration) as stop:
+        next(frame)
+    return stop.value.value
+
+
+class TestCarriedCertificate:
+    """A child view decided from its predecessor's certificate (``_frame``'s
+    hint) must get exactly the answer of the zones path."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_check_agrees_with_zones(self, seed):
+        rng = random.Random(seed)
+        outcomes = {"held": 0, "failed": 0, "stranded": 0}
+        for g in no_zero_cycles(60, seed0=300 + 60 * seed, max_n=14):
+            res = reduce_game(g)
+            shift = [res.potential[v] for v in range(g.n)]
+            sides = [1 if v in res.min_region else -1 for v in range(g.n)]
+            keep = list(range(g.n))
+            # Shrink the view while the certificate carries over.
+            while len(keep) > 1:
+                gone = rng.sample(keep, rng.randint(1, max(1, len(keep) // 3)))
+                for v in gone:
+                    sides[v] = 0
+                keep = [v for v in keep if sides[v]]
+                held = _hint_holds(g, shift, sides, gone)
+                try:
+                    z = compute_zones(g, keep, shift)
+                except NotASubgameError:
+                    assert not held
+                    outcomes["stranded"] += 1
+                    break
+                zn = frozenset(i for i, v in enumerate(keep) if sides[v] > 0)
+                assert held == (is_reduced(g, z, keep, shift) and z.ZN == zn)
+                if held:
+                    assert run_frame((g, keep, shift, (sides, gone)), FULL) == (
+                        [sides[v] > 0 for v in keep], [0] * len(keep)
+                    )
+                outcomes["held" if held else "failed"] += 1
+                if not held:
+                    break
+        assert min(outcomes.values()) > 0, outcomes
+
+    def test_stranded_vertex_falls_back(self):
+        # Removing vertex 1 leaves Max's vertex 0 without an edge in the
+        # view.  A universal rule holds vacuously there, so the check must
+        # reject it and let the zones path report the broken subgame.
+        g = parse_game(
+            "mpg 1\nvertex 0 MAX\nvertex 1 MIN\nvertex 2 MIN\n"
+            "edge 0 1 -1\nedge 1 1 -1\nedge 2 2 -1\n"
+        )
+        sides = [1, 0, 1]
+        assert not _hint_holds(g, None, sides, [1])
+        with pytest.raises(SolverInternalError, match="remainder is not a subgame"):
+            run_frame((g, [0, 2], None, (sides, [1])), SolverConfig())
+
+    def test_corrupted_hint_is_caught_at_full_level(self):
+        # Vertex 3 leaves; no kept vertex has an edge into it, so nothing is
+        # rechecked and the flipped side of vertex 1 goes unseen by the
+        # check.  FULL assertions re-derive the answer from the zones.
+        g = parse_game(
+            "mpg 1\nvertex 0 MIN\nvertex 1 MIN\nvertex 2 MAX\nvertex 3 MIN\n"
+            "edge 0 0 -1\nedge 1 1 -1\nedge 2 2 1\nedge 3 0 -1\n"
+        )
+        sides = [1, -1, -1, 0]
+        view = (g, [0, 1, 2], None, (sides, [3]))
+        assert run_frame(view, SolverConfig()) == ([True, False, False], [0, 0, 0])
+        with pytest.raises(SolverInternalError, match="certificate check failed"):
+            run_frame(view, FULL)
 
 
 class TestStats:
