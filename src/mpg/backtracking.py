@@ -1,10 +1,14 @@
-"""Backward fixpoint procedures shared by the solver.
+"""Backward fixpoints shared by the solver.
 
-All four operations walk predecessor lists with per-vertex escape counters,
-so each runs in O(n + m): propagating exact peak values over vertices whose
-every path enters a finished set, player attractors that extend a reducing
-potential, the safe seed set for initialising the finished set, and the bulk
-good-escape set that fixes many vertices at once.
+Each operation walks predecessor lists with per-vertex escape counters:
+propagating exact peak values over vertices whose every path enters a
+finished set, player attractors that extend a reducing potential, the safe
+seed set for initialising the finished set, and the bulk good-escape set that
+fixes many vertices at once.  Attractors and safe seeds run in O(n + m).
+Value propagation keeps its counters across the passes of one escape loop,
+whose finished set only grows, so a loop spends O(n + m) on it in total.
+The good-escape set costs the edges around the vertices that can join it,
+not the whole side it is drawn from.
 """
 
 from __future__ import annotations
@@ -20,32 +24,30 @@ class SolverInternalError(Exception):
     """The solver or one of its subprocedures detected an internal inconsistency."""
 
 
-def _backtrack_core(g: Game, in_f: list, val: list) -> list:
+def _backtrack_core(g: Game, in_f: list, val: list, esc: list, joined: list) -> list:
     """Extend ``in_f``/``val`` over vertices all of whose paths enter the set.
 
-    A vertex joins once every outgoing edge leads into the set; its value is
-    then the owner's optimum of edge weight plus successor value.  Returns the
-    newly added vertices; the result is independent of pop order.
+    ``esc[v]`` counts the out-edges of a vertex outside the set that do not
+    enter it, as they stood before the vertices ``joined`` entered: a loop
+    starts from the out-degrees with ``joined`` the whole seed, then passes
+    each escape's fixed vertices.  A vertex joins once its counter reaches
+    zero; its value is then the owner's optimum of edge weight plus
+    successor value.  Returns the newly added vertices and leaves ``esc``
+    current; the result is independent of pop order.
     """
-    n = g.n
     out, inc, esrc, edst, ew, owners = g.out, g.inc, g.esrc, g.edst, g.eweight, g.owners
-    esc = [0] * n
     queue = deque()
-    for v in range(n):
-        if not in_f[v]:
-            c = 0
-            for e in out[v]:
-                if not in_f[edst[e]]:
-                    c += 1
-            esc[v] = c
-            if c == 0:
-                queue.append(v)
+    for r in joined:
+        for e in inc[r]:
+            u = esrc[e]
+            if not in_f[u]:
+                esc[u] -= 1
+                if esc[u] == 0:
+                    queue.append(u)
     added = []
     is_min = Player.MIN
     while queue:
         v = queue.popleft()
-        if in_f[v]:
-            continue
         in_f[v] = True
         best = None
         if owners[v] is is_min:
@@ -188,45 +190,79 @@ def _good_escape_core(
     g: Game,
     in_f: list,
     val: list,
-    side: list,
+    sides: list,
+    sources: list,
     phi: Sequence,
     m: int,
     plus: bool,
 ) -> list:
-    """Vertices of ``side`` from which the escaping player forces a good escape.
+    """Vertices of the side from which the escaping player forces a good escape.
 
-    An edge from the side into the finished set is good when its adjusted cost
-    ``w + val(dst) - phi(src)`` meets the bound ``m``; an edge inside the side
-    is safe when its phi-modified weight stays on the escaping player's side
-    of zero.  The result is the greatest set whose choosing player always has
-    a good or safe option and whose opponent has nothing else.
+    The side is the set of vertices ``v`` with ``sides[v]`` equal to -1 when
+    ``plus`` (Min escapes from the Max-won side) and 1 otherwise (Max escapes
+    from the whole Min-won remainder).  An edge from the side into the
+    finished set is good when its adjusted cost ``w + val(dst) - phi(src)``
+    meets the bound ``m``; an edge inside the side is safe when its
+    phi-modified weight stays on the escaping player's side of zero.  The
+    result, ascending, is the greatest set whose choosing player always has a
+    good or safe option and whose opponent has nothing else.
+
+    The fixpoint is taken only over the domain reached from ``sources``
+    backward along side edges whose modified weight is exactly zero; an edge
+    into a side vertex outside the domain counts as removed.  With
+    ``sources`` the escaping player's vertices that reach ``m`` (the optimal
+    escapes, since ``m`` is their best bound) and ``phi`` the certificate of
+    the remainder, the domain holds the whole greatest set:
+
+    * the side is reduced for the opponent, so each of the escaping player's
+      side edges weighs zero or lies on the opponent's side of zero, and is
+      safe only if it weighs zero; its good edges are exactly the ties with
+      ``m``, so a member that is not a source keeps a zero edge into the set;
+    * each opponent member has an edge on its own side of zero into the side,
+      which must also be safe, so it weighs zero and enters the set;
+    * zero edges form a DAG (no cycle weighs zero), so from any member a walk
+      along zero edges inside the set ends, and only at a source.
+
+    Restricting to a domain that contains the greatest set can only remove
+    options from outside it, so the two fixpoints agree.  Given the whole
+    side as ``sources`` the domain is the whole side.  A least fixpoint grown
+    from the good edges is not the same set: an opponent may keep a negative
+    safe edge inside the set, which the greatest fixpoint accepts.
     """
-    n = g.n
     out, inc, esrc, edst, ew, owners = g.out, g.inc, g.esrc, g.edst, g.eweight, g.owners
-    in_side = [False] * n
-    for v in side:
-        in_side[v] = True
+    mark = -1 if plus else 1
+    domain = set(sources)
+    stack = list(domain)
+    while stack:
+        d = stack.pop()
+        pd = phi[d]
+        for e in inc[d]:
+            u = esrc[e]
+            if ew[e] + pd == phi[u] and sides[u] == mark and u not in domain:
+                domain.add(u)
+                stack.append(u)
     chooser = Player.MIN if plus else Player.MAX
-    supp = [0] * n
-    safe_edge = {}
+    supp = {}
+    safe_edge = set()
     removal = deque()
-    pending = [False] * n
-    for v in side:
+    pending = set()
+    for v in domain:
         options = 0
         bad = False
+        pv = phi[v]
         for e in out[v]:
             d = edst[e]
             w = ew[e]
             if in_f[d]:
-                expr = w + val[d] - phi[v]
+                expr = w + val[d] - pv
                 if (expr <= m) if plus else (expr >= m):
                     options += 1
                 else:
                     bad = True
-            elif in_side[d]:
-                mod = w + phi[d] - phi[v]
+            elif d in domain:
+                mod = w + phi[d] - pv
                 if (mod <= 0) if plus else (mod >= 0):
-                    safe_edge[e] = True
+                    safe_edge.add(e)
                     options += 1
                 else:
                     bad = True
@@ -235,27 +271,25 @@ def _good_escape_core(
         if owners[v] is chooser:
             supp[v] = options
             if options == 0:
-                pending[v] = True
+                pending.add(v)
                 removal.append(v)
         elif bad:
-            pending[v] = True
+            pending.add(v)
             removal.append(v)
-    removed = [False] * n
     while removal:
         u = removal.popleft()
-        removed[u] = True
         for e in inc[u]:
             if e not in safe_edge:
                 continue
             v = esrc[e]
-            if removed[v] or pending[v]:
+            if v in pending:
                 continue
             if owners[v] is chooser:
                 supp[v] -= 1
                 if supp[v] == 0:
-                    pending[v] = True
+                    pending.add(v)
                     removal.append(v)
             else:
-                pending[v] = True
+                pending.add(v)
                 removal.append(v)
-    return [v for v in side if not removed[v]]
+    return sorted(domain - pending)

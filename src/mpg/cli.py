@@ -147,11 +147,16 @@ def _result_hash(g: Game, res: SolveResult) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def _print_json(doc) -> None:
+    """One compact JSON document on one line, as every subcommand prints it."""
+    print(json.dumps(doc, separators=(",", ":")))
+
+
 def cmd_solve(args) -> int:
     g = _load_game(args.game)
     res = solve_threshold(g, _config_from_args(args))
     if args.json:
-        print(json.dumps(_result_json(g, res), indent=2))
+        _print_json(_result_json(g, res))
     else:
         print(f"min_region: {_orig_sorted(g, res.min_region)}")
         print(f"max_region: {_orig_sorted(g, res.max_region)}")
@@ -165,7 +170,7 @@ def cmd_values(args) -> int:
         str(g.orig_ids[v]): str(res.values[v])
         for v in sorted(range(g.n), key=lambda v: g.orig_ids[v])
     }
-    print(json.dumps(doc, indent=2))
+    _print_json(doc)
     return 0
 
 
@@ -175,7 +180,7 @@ def cmd_zones(args) -> int:
     doc = {
         name: _orig_sorted(g, getattr(z, name)) for name in ("N", "Z", "P", "ZN", "ZP")
     }
-    print(json.dumps(doc, indent=2))
+    _print_json(doc)
     return 0
 
 
@@ -192,16 +197,20 @@ def cmd_check(args) -> int:
         "min_region": _orig_sorted(g, z.ZN),
         "max_region": _orig_sorted(g, z.ZP),
     }
-    print(json.dumps(doc, indent=2))
+    _print_json(doc)
     return 0 if reduced else 1
 
 
 def _gen_params(args, seed: int) -> GenParams:
+    try:
+        min_fraction = Fraction(args.min_fraction)
+    except ZeroDivisionError:
+        raise ValueError(f"--min-fraction {args.min_fraction!r} has a zero denominator") from None
     return GenParams(
         n=args.n,
         out_degree=(args.degree_min, args.degree_max),
         weight_bound=args.weight_bound,
-        min_fraction=Fraction(args.min_fraction),
+        min_fraction=min_fraction,
         model=_MODELS[args.model],
         seed=seed,
     )

@@ -176,13 +176,18 @@ def _sup_loop(gl, zl, cfg, stats, depth, hook):
     when that potential is zero), the view carries it as the hint
     ``(sides, gone)``: ``sides`` over ``gl`` is 1 on the Min side, -1 on the
     Max side and 0 outside the remainder, and ``gone`` lists the vertices
-    that left it.  The attractor-split child gets no hint.
+    that left it.  The attractor-split child gets no hint.  ``sides`` is kept
+    current on every pass, as it also tells ``_good_escape_core`` the side.
 
     Each pass fixes one escape with one step for both players.  While the
     child calls part of the remainder Max-won, Min escapes from that side
     (``plus``); if Min has no edge out of it, its Max attractor is split off
     and the rest solved as a child.  Otherwise Max escapes from the Min-won
-    remainder.
+    remainder.  The scan for the optimal escape also collects its ties, the
+    sources from which ``_good_escape_core`` grows the bulk set.
+
+    The finished set only grows, so backtracking's escape counters are built
+    once per loop and brought up to date from the vertices each escape fixes.
     """
     n = gl.n
     owners, out, edst, ew = gl.owners, gl.out, gl.edst, gl.eweight
@@ -190,22 +195,27 @@ def _sup_loop(gl, zl, cfg, stats, depth, hook):
     full = cfg.assertions >= AssertLevel.FULL
     seed = safe_init(gl, zl, Player.MIN) if cfg.opt_init else zl.N
     in_f = [v in seed for v in range(n)]
+    # A live frame keeps no zone sets while its children run.
+    del zl, seed
     val = [0] * n
     pred_phi = [0] * n
     sides = [0] * n
+    esc = [len(edges) for edges in out]
+    joined = [v for v in range(n) if in_f[v]]
+    rest = range(n)
     carried = False
-    gone = []
     guard = 0
     while True:
         guard += 1
         if guard > 4 * n + 16:
             raise SolverInternalError("escape loop failed to converge")
         stats.loop_iterations += 1
-        gone += _backtrack_core(gl, in_f, val)
-        if cheap:
-            if any(val[v] < 0 for v in range(n) if in_f[v]):
-                raise SolverInternalError("negative peak value after backtracking")
-        rest = [v for v in range(n) if not in_f[v]]
+        gone = joined + _backtrack_core(gl, in_f, val, esc, joined)
+        # Finished values never change, so only the vertices that just joined
+        # need checking.
+        if cheap and any(val[v] < 0 for v in gone):
+            raise SolverInternalError("negative peak value after backtracking")
+        rest = [v for v in rest if not in_f[v]]
         if not rest:
             if hook is not None:
                 hook(gl, {v: val[v] for v in range(n)}, depth)
@@ -218,35 +228,44 @@ def _sup_loop(gl, zl, cfg, stats, depth, hook):
         for x, pv in zip(phi_rest, rest):
             pred_phi[pv] = x if shift is None else pred_phi[pv] + x
         carried = cfg.remember_potentials or not any(phi_rest)
-        if carried:
-            for v, won in zip(rest, mn_rest):
-                sides[v] = 1 if won else -1
+        for v, won in zip(rest, mn_rest):
+            sides[v] = 1 if won else -1
         plus = not all(mn_rest)
         side = [v for v, won in zip(rest, mn_rest) if not won] if plus else rest
         owner, sign = (Player.MIN, 1) if plus else (Player.MAX, -1)
         best = None
+        ties = []
         for v in side:
             if owners[v] is owner:
+                pv = pred_phi[v]
                 for e in out[v]:
                     d = edst[e]
                     if in_f[d]:
-                        key = (sign * (ew[e] + val[d] - pred_phi[v]), v)
-                        if best is None or key < best:
-                            best = key
+                        cost = sign * (ew[e] + val[d] - pv)
+                        if best is None or cost < best:
+                            best = cost
+                            ties = [v]
+                        elif cost == best and ties[-1] != v:
+                            ties.append(v)
         if best is not None:
-            m = sign * best[0]
+            m = sign * best
             if cfg.opt_bulk:
-                fixed = _good_escape_core(gl, in_f, val, side, pred_phi, m, plus=plus)
-                if full and best[1] not in fixed:
-                    raise SolverInternalError("bulk set misses the optimal escape")
+                fixed = _good_escape_core(gl, in_f, val, sides, ties, pred_phi, m, plus)
+                if full:
+                    whole = _good_escape_core(gl, in_f, val, sides, side, pred_phi, m, plus)
+                    if whole != fixed:
+                        raise SolverInternalError("bulk set differs from the whole side's")
+                    if ties[0] not in fixed:
+                        raise SolverInternalError("bulk set misses the optimal escape")
                 stats.bulk_fixed += len(fixed)
             else:
-                fixed = [best[1]]
+                # The side is ascending, so the first tie is the lowest vertex.
+                fixed = [ties[0]]
                 stats.escapes_fixed += 1
             for v in fixed:
                 val[v] = m + pred_phi[v]
                 in_f[v] = True
-            gone = fixed
+            joined = fixed
             continue
         if not plus:
             raise SolverInternalError("no escape edge from the Min-won remainder")
@@ -332,7 +351,11 @@ def _frame(view: tuple, cfg: SolverConfig, stats: Stats, depth: int, hook):
             gl = dual_game(g)
             zl = Zones(N=zones.P, Z=zones.Z, P=zones.N, ZN=zones.ZP, ZP=zones.ZN)
             flip = True
-        outcome, values = yield from _sup_loop(gl, zl, cfg, stats, depth, hook)
+        loop = _sup_loop(gl, zl, cfg, stats, depth, hook)
+        # Hold no zone sets while the children run; the check below reads N.
+        shrink_to = zl.N if cheap else None
+        del zones, zl
+        outcome, values = yield from loop
         if outcome is None:
             # Every peak value is finite: relabel by them and start over.
             step = [-x for x in values] if flip else values
@@ -343,7 +366,7 @@ def _frame(view: tuple, cfg: SolverConfig, stats: Stats, depth: int, hook):
             stats.potential_reductions += 1
             stats.recursive_calls += 1
             zones = compute_zones(g)
-            if cheap and not (zones.N | zones.P) <= zl.N:
+            if cheap and not (zones.N | zones.P) <= shrink_to:
                 raise SolverInternalError(
                     "zones failed to shrink into the relabeled zone"
                 )

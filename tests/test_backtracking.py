@@ -42,7 +42,9 @@ def backtrack(g, values: dict) -> dict:
     """Run ``_backtrack_core`` from the finished set ``values``; all values after."""
     in_f = [v in values for v in range(g.n)]
     val = [values.get(v, 0) for v in range(g.n)]
-    added = _backtrack_core(g, in_f, val)
+    # Counters start at the out-degrees, with the whole finished set joining.
+    esc = [len(edges) for edges in g.out]
+    added = _backtrack_core(g, in_f, val, esc, sorted(values))
     assert sorted(added) == [v for v in range(g.n) if in_f[v] and v not in values]
     return {v: val[v] for v in range(g.n) if in_f[v]}
 
@@ -60,7 +62,7 @@ class TestBacktrackAllPaths:
 
     def test_total_set_is_fixpoint(self, g1):
         in_f, val = [True], [0]
-        assert _backtrack_core(g1, in_f, val) == []
+        assert _backtrack_core(g1, in_f, val, [len(g1.out[0])], [0]) == []
         assert in_f == [True] and val == [0]
 
     def test_max_vertex_takes_maximum(self):
@@ -222,9 +224,21 @@ def escape_game(h1_back_weight: int):
 
 
 def good_escapes(g, side, m, plus=True):
-    """``_good_escape_core`` with vertex 0 finished at value 0 and phi = 0."""
+    """``_good_escape_core`` with vertex 0 finished at value 0 and phi = 0.
+
+    The sources are the escaping player's vertices of ``side`` with an edge
+    into the finished set that meets ``m`` exactly, as the solver collects them.
+    """
     in_f = [v == 0 for v in range(g.n)]
-    return _good_escape_core(g, in_f, [0] * g.n, side, [0] * g.n, m, plus)
+    sides = [0] * g.n
+    for v in side:
+        sides[v] = -1 if plus else 1
+    chooser = Player.MIN if plus else Player.MAX
+    sources = [
+        v for v in side
+        if g.owners[v] is chooser and any(in_f[g.edst[e]] and g.eweight[e] == m for e in g.out[v])
+    ]
+    return _good_escape_core(g, in_f, [0] * g.n, sides, sources, [0] * g.n, m, plus)
 
 
 class TestGoodEscapeSet:
@@ -273,3 +287,36 @@ class TestGoodEscapeSet:
         )
         assert brute_force_infsigma(g, {0})[1] == -1
         assert good_escapes(g, [1, 2], -1, plus=False) == [1, 2]
+
+    def test_greatest_fixpoint_keeps_a_negative_safe_edge(self):
+        # Finished 0; side {1, 2, 3}, Max-won and reduced for Max under phi = 0.
+        # Min's 1 escapes to 0 at cost 1 and is the only source.  Max's 2 has a
+        # zero edge to 1 and a -1 edge to 3; Max's 3 has a zero edge to 2.  A
+        # least fixpoint grown from the good edges never admits 2 or 3, each
+        # waiting on the other; every edge of both is safe, so the greatest
+        # fixpoint keeps them, and the zero edges 3 -> 2 -> 1 reach them.
+        g = parse_game(
+            "mpg 1\nvertex 0 MIN\nvertex 1 MIN\nvertex 2 MAX\nvertex 3 MAX\n"
+            "edge 0 0 -1\nedge 1 0 1\nedge 1 1 1\n"
+            "edge 2 1 0\nedge 2 3 -1\nedge 3 2 0\n"
+        )
+        assert good_escapes(g, [1, 2, 3], 1) == [1, 2, 3]
+        sides = [0, -1, -1, -1]
+        in_f = [True, False, False, False]
+        whole = _good_escape_core(g, in_f, [0] * 4, sides, [1, 2, 3], [0] * 4, 1, True)
+        assert whole == [1, 2, 3]
+
+    def test_side_vertex_outside_the_domain_counts_as_removed(self):
+        # Max's 2 has a zero edge to the source 1 and a safe -1 edge to Max's 3,
+        # which no zero edge connects to a source.  3 is not in the domain, so
+        # 2 loses that option; over the whole side 3 is dropped (its only edge,
+        # +1 back to 2, is not safe) and 2 with it.
+        g = parse_game(
+            "mpg 1\nvertex 0 MIN\nvertex 1 MIN\nvertex 2 MAX\nvertex 3 MAX\n"
+            "edge 0 0 -1\nedge 1 0 1\nedge 1 1 1\n"
+            "edge 2 1 0\nedge 2 3 -1\nedge 3 2 1\n"
+        )
+        sides = [0, -1, -1, -1]
+        in_f = [True, False, False, False]
+        for sources in ([1], [1, 2, 3]):
+            assert _good_escape_core(g, in_f, [0] * 4, sides, sources, [0] * 4, 1, True) == [1]

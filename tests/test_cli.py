@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import mpg
 from mpg import parse_game, serialize_game, serialize_potential, solve_threshold
@@ -42,7 +43,9 @@ class TestSolve:
 
     def test_json_schema(self, g3_file, capsys):
         assert main(["solve", g3_file, "--json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 and ": " not in out  # one compact line
+        doc = json.loads(out)
         assert doc["min_region"] == [0, 1]
         assert doc["max_region"] == []
         assert set(doc["potential"]) == {"0", "1"}
@@ -324,6 +327,80 @@ class TestBench:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4
         assert rows[0]["instance"] == "gen-2"
+
+
+def _exit_code(argv) -> int:
+    """``main``'s exit code, counting argparse's own exit as one."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _mangled(text: str):
+    """Random bytes, or ``text`` with a random slice replaced by random bytes."""
+    base = text.encode()
+    return st.one_of(
+        st.binary(max_size=200),
+        st.tuples(st.integers(0, len(base)), st.integers(0, 8), st.binary(max_size=12)).map(
+            lambda t: base[: t[0]] + t[2] + base[t[0] + t[1]:]
+        ),
+    )
+
+
+# Each example rewrites the same file, so the per-test tmp_path is safe to share.
+_PROPERTY = settings(
+    max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+class TestMalformedInput:
+    """Whatever the flags or file contents, the CLI exits 0, 1 or 2, never with a traceback."""
+
+    @pytest.mark.parametrize("command", ["gen", "bench"])
+    def test_zero_denominator_fraction_is_an_input_error(self, command, tmp_path, capsys):
+        csv_path = tmp_path / "out.csv"
+        argv = [command, "--n", "5", "--min-fraction", "1/0"]
+        if command == "bench":
+            argv += ["--count", "1", "--csv", str(csv_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not csv_path.exists()
+
+    @_PROPERTY
+    @given(
+        n=st.integers(-2, 30),
+        degrees=st.tuples(st.integers(-1, 5), st.integers(-1, 5)),
+        bound=st.integers(-1, 40),
+        fraction=st.one_of(
+            st.text(max_size=6),
+            st.tuples(st.integers(-2, 4), st.integers(-1, 4)).map(lambda t: f"{t[0]}/{t[1]}"),
+        ),
+        model=st.sampled_from(["uniform", "cycle-heavy", "layered", "other"]),
+        seed=st.integers(-(2**65), 2**65),
+    )
+    def test_random_gen_flags(self, n, degrees, bound, fraction, model, seed, tmp_path):
+        argv = [
+            "gen", "--n", str(n), "--degree-min", str(degrees[0]), "--degree-max",
+            str(degrees[1]), "--weight-bound", str(bound), f"--min-fraction={fraction}",
+            "--model", model, "--seed", str(seed), "-o", str(tmp_path / "g.mpg"),
+        ]
+        assert _exit_code(argv) in (0, 1, 2)
+
+    @_PROPERTY
+    @given(data=_mangled(G5_TEXT))
+    def test_random_game_file(self, data, tmp_path):
+        path = tmp_path / "g.mpg"
+        path.write_bytes(data)
+        for command in (["solve", "--json"], ["zones"]):
+            assert _exit_code([*command, str(path)]) in (0, 1, 2)
+
+    @_PROPERTY
+    @given(data=_mangled("0 3\n1 -4\n"))
+    def test_random_potential_file(self, data, g3_file, tmp_path):
+        path = tmp_path / "g.pot"
+        path.write_bytes(data)
+        assert _exit_code(["check", g3_file, str(path)]) in (0, 1, 2)
 
 
 class TestConsoleScript:

@@ -439,7 +439,7 @@ class TestAssertionMachinery:
         # With backtracking disabled, Max's vertex 1, whose only edge enters
         # the finished set {0}, is left as a sink of the escape remainder.
         text = "mpg 1\nvertex 0 MIN\nvertex 1 MAX\nedge 0 0 -1\nedge 1 0 1\n"
-        monkeypatch.setattr(solver_module, "_backtrack_core", lambda game, in_f, val: [])
+        monkeypatch.setattr(solver_module, "_backtrack_core", lambda game, in_f, val, esc, joined: [])
         monkeypatch.delenv("MPG_ASSERT", raising=False)
         cfg = SolverConfig(assertions=AssertLevel[level.upper()])
         with pytest.raises(SolverInternalError, match="remainder is not a subgame"):
@@ -600,6 +600,59 @@ class TestCarriedCertificate:
         assert run_frame(view, SolverConfig()) == ([True, False, False], [0, 0, 0])
         with pytest.raises(SolverInternalError, match="certificate check failed"):
             run_frame(view, FULL)
+
+
+class TestIncrementalEscapes:
+    """Bulk sets grown from the optimal escapes; escape counters kept per loop."""
+
+    @staticmethod
+    def games():
+        # W = 1 makes zero modified weights dense.
+        models = (Model.UNIFORM, Model.CYCLE_HEAVY, Model.LAYERED)
+        return [
+            gen_random(GenParams(
+                n=5 + i % 10, out_degree=(1, 4), weight_bound=(1, 2, 5, 100)[i % 4],
+                model=models[i % 3], seed=300 + i,
+            ))
+            for i in range(16)
+        ]
+
+    def test_full_solves_all_configurations(self, monkeypatch):
+        # FULL reruns each bulk set over the whole side and raises if the set
+        # grown from the optimal escapes differs.
+        narrowed = []
+        real = solver_module._good_escape_core
+
+        def counted(g, in_f, val, sides, sources, phi, m, plus):
+            mark = -1 if plus else 1
+            narrowed.append(len(sources) < sum(1 for x in sides if x == mark))
+            return real(g, in_f, val, sides, sources, phi, m, plus)
+
+        monkeypatch.setattr(solver_module, "_good_escape_core", counted)
+        for g in self.games():
+            regions = {
+                solve_threshold(g, cfg).min_region for cfg in all_configs(AssertLevel.FULL)
+            }
+            assert len(regions) == 1
+        assert sum(narrowed) > 100
+
+    def test_carried_counters_match_a_recount(self, monkeypatch):
+        passes = []
+        real = solver_module._backtrack_core
+
+        def checked(g, in_f, val, esc, joined):
+            added = real(g, in_f, val, esc, joined)
+            for v in range(g.n):
+                if not in_f[v]:
+                    assert esc[v] == sum(1 for e in g.out[v] if not in_f[g.edst[e]])
+            passes.append(len(joined))
+            return added
+
+        monkeypatch.setattr(solver_module, "_backtrack_core", checked)
+        for g in self.games():
+            for cfg in all_configs():
+                solve_threshold(g, cfg)
+        assert len(passes) > 1000
 
 
 class TestStats:
