@@ -2,8 +2,6 @@
 
 from .backtracking import SolverInternalError, safe_init
 from .game import (
-    ClosedWalk,
-    Edge,
     Game,
     GameError,
     NotASubgameError,
@@ -13,9 +11,7 @@ from .game import (
     Potential,
     ThresholdMode,
     apply_potential,
-    cycle_weight,
     dual_game,
-    is_trap,
     parse_game,
     parse_potential,
     preprocess_no_zero_cycles,

@@ -17,7 +17,6 @@ from collections import deque
 from typing import Sequence
 
 from .game import Game, Player
-from .zones import Zones
 
 
 class SolverInternalError(Exception):
@@ -139,51 +138,46 @@ def _attract_max_core(g: Game, in_t: list, phi_t: Sequence) -> tuple:
     return in_a, phi
 
 
-def safe_init(g: Game, z: Zones, player: Player) -> frozenset:
+def safe_init(g: Game, cls: Sequence[int], player: Player) -> list:
     """Largest set from which ``player`` keeps edge weights on their side of
-    zero until their zone is reached (or forever).
+    zero until their zone is reached (or forever), as a membership list.
 
-    For MIN this contains N and the peak value over the set is 0, so it can
-    seed the finished set; for MAX it contains P and the valley value is 0.
-    It is the complement of an unsafe backward fixpoint seeded at the other
-    player's zone: a ``player`` vertex outside both zones becomes unsafe once
-    all its zero-weight edges lead to unsafe vertices, an opponent vertex as
-    soon as any edge does, and a vertex of ``player``'s zone never does.
-    Weights are read only through ``== 0``, so one fixpoint serves both
-    players without dualising the game.
+    ``cls`` is the zone class per vertex (-1 N, 0 Z, 1 P), as in ``Zones``.
+    For MIN the set contains N and the peak value over the set is 0, so it
+    can seed the finished set; for MAX it contains P and the valley value is
+    0.  It is the complement of an unsafe backward fixpoint seeded at the
+    other player's zone: a ``player`` vertex outside both zones becomes
+    unsafe once all its zero-weight edges lead to unsafe vertices, an
+    opponent vertex as soon as any edge does, and a vertex of ``player``'s
+    zone never does.  Weights are read only through ``== 0``, so one
+    fixpoint serves both players without dualising the game.
     """
-    protected, seeds = (z.N, z.P) if player is Player.MIN else (z.P, z.N)
+    protected = -1 if player is Player.MIN else 1
     n = g.n
     out, inc, esrc, ew, owners = g.out, g.inc, g.esrc, g.eweight, g.owners
     cnt = [0] * n
     for v in range(n):
-        if v in protected or v in seeds:
-            continue
-        if owners[v] is player:
+        if not cls[v] and owners[v] is player:
             cnt[v] = sum(1 for e in out[v] if ew[e] == 0)
-    pending = [False] * n
-    unsafe = [False] * n
-    queue = deque()
-    for v in seeds:
-        pending[v] = True
-        queue.append(v)
+    # A vertex is marked unsafe when it is queued.
+    unsafe = [c == -protected for c in cls]
+    queue = deque(v for v in range(n) if unsafe[v])
     while queue:
         u = queue.popleft()
-        unsafe[u] = True
         for e in inc[u]:
             v = esrc[e]
-            if pending[v] or v in protected:
+            if unsafe[v] or cls[v] == protected:
                 continue
             if owners[v] is player:
                 if ew[e] == 0:
                     cnt[v] -= 1
                     if cnt[v] == 0:
-                        pending[v] = True
+                        unsafe[v] = True
                         queue.append(v)
             else:
-                pending[v] = True
+                unsafe[v] = True
                 queue.append(v)
-    return frozenset(v for v in range(n) if not unsafe[v])
+    return [not x for x in unsafe]
 
 
 def _good_escape_core(

@@ -9,9 +9,8 @@ results can be reported in the caller's naming.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -61,12 +60,6 @@ class ThresholdMode(enum.Enum):
 
     WEAK = "weak"
     STRICT = "strict"
-
-
-class Edge(NamedTuple):
-    src: int
-    dst: int
-    weight: int
 
 
 #: A potential labels vertices with integers; missing vertices count as 0.
@@ -130,7 +123,7 @@ class Game:
 
     @classmethod
     def _raw(cls, owners, esrc, edst, eweight, out, inc, orig_ids) -> Game:
-        """Trusted constructor sharing adjacency with an existing game."""
+        """Trusted constructor from finished tuples, which it does not validate."""
         g = cls.__new__(cls)
         g.n = len(owners)
         g.m = len(esrc)
@@ -154,12 +147,6 @@ class Game:
         return Game._raw(
             self.owners, self.esrc, self.edst, tuple(weights),
             self.out, self.inc, self.orig_ids,
-        )
-
-    @cached_property
-    def edges(self) -> tuple[Edge, ...]:
-        return tuple(
-            Edge(self.esrc[e], self.edst[e], self.eweight[e]) for e in range(self.m)
         )
 
     @cached_property
@@ -220,9 +207,12 @@ def parse_game(data: bytes | str) -> Game:
     owners: list[Player] = []
     orig_ids: list[int] = []
     index_of: dict[int, int] = {}
-    edges: list[tuple[int, int, int]] = []
+    esrc: list[int] = []
+    edst: list[int] = []
+    ew: list[int] = []
+    out: list[list[int]] = []
+    inc: list[list[int]] = []
     saw_header = False
-    saw_edge = False
     last_line = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         last_line = lineno
@@ -236,7 +226,7 @@ def parse_game(data: bytes | str) -> Game:
             saw_header = True
             continue
         if fields[0] == "vertex":
-            if saw_edge:
+            if esrc:
                 raise ParseError("vertex declaration after edges", lineno)
             if len(fields) != 3:
                 raise ParseError("expected 'vertex <id> <MIN|MAX>'", lineno)
@@ -250,6 +240,8 @@ def parse_game(data: bytes | str) -> Game:
             index_of[vid] = len(owners)
             owners.append(owner)
             orig_ids.append(vid)
+            out.append([])
+            inc.append([])
         elif fields[0] == "edge":
             if len(fields) != 4:
                 raise ParseError("expected 'edge <src> <dst> <weight>'", lineno)
@@ -260,19 +252,23 @@ def parse_game(data: bytes | str) -> Game:
                 raise ParseError(f"dangling edge endpoint {src}", lineno)
             if dst not in index_of:
                 raise ParseError(f"dangling edge endpoint {dst}", lineno)
-            saw_edge = True
-            edges.append((index_of[src], index_of[dst], weight))
+            v, d = index_of[src], index_of[dst]
+            out[v].append(len(esrc))
+            inc[d].append(len(esrc))
+            esrc.append(v)
+            edst.append(d)
+            ew.append(weight)
         else:
             raise ParseError(f"unknown directive {fields[0]!r}", lineno)
     if not saw_header:
         raise ParseError("expected header 'mpg 1'", max(last_line, 1))
-    out_degree = [0] * len(owners)
-    for src, _, _ in edges:
-        out_degree[src] += 1
-    for i, deg in enumerate(out_degree):
-        if deg == 0:
-            raise ParseError(f"sink vertex {orig_ids[i]}")
-    return Game(owners, edges, orig_ids=orig_ids)
+    for v, edges in enumerate(out):
+        if not edges:
+            raise ParseError(f"sink vertex {orig_ids[v]}")
+    return Game._raw(
+        tuple(owners), tuple(esrc), tuple(edst), tuple(ew),
+        tuple(map(tuple, out)), tuple(map(tuple, inc)), tuple(orig_ids),
+    )
 
 
 def serialize_game(g: Game) -> bytes:
@@ -366,51 +362,6 @@ def restrict(g: Game, keep: Iterable[int], shift: Sequence[int] | None = None) -
         tuple(g.owners[v] for v in kept), tuple(esrc), tuple(sdst), tuple(sw),
         tuple(out), tuple(map(tuple, inc)), tuple(g.orig_ids[v] for v in kept),
     )
-
-
-def is_trap(g: Game, s: Iterable[int], player: Player) -> bool:
-    """True iff ``player`` cannot leave ``s``: every edge leaving ``s`` starts
-    at an opponent vertex.  ``s`` must induce a subgame."""
-    ss = set(s)
-    if not ss:
-        raise GameError("trap test requires a non-empty vertex set")
-    for v in ss:
-        if not any(g.edst[e] in ss for e in g.out[v]):
-            raise NotASubgameError(
-                f"not a subgame: vertex {g.orig_ids[v]} is a sink in restriction"
-            )
-    for v in ss:
-        if g.owners[v] is player:
-            for e in g.out[v]:
-                if g.edst[e] not in ss:
-                    return False
-    return True
-
-
-@dataclass(frozen=True)
-class ClosedWalk:
-    """A cyclic sequence of edge ids: consecutive edges chain and the walk closes."""
-
-    edge_ids: tuple[int, ...]
-
-    def validate(self, g: Game) -> None:
-        ids = self.edge_ids
-        if not ids:
-            raise GameError("closed walk must contain at least one edge")
-        for e in ids:
-            if not (0 <= e < g.m):
-                raise GameError(f"edge id {e} out of range")
-        for a, b in zip(ids, ids[1:]):
-            if g.edst[a] != g.esrc[b]:
-                raise GameError("walk edges do not chain")
-        if g.edst[ids[-1]] != g.esrc[ids[0]]:
-            raise GameError("walk does not close")
-
-
-def cycle_weight(g: Game, walk: ClosedWalk) -> int:
-    """Total weight along a closed walk; invariant under apply_potential."""
-    walk.validate(g)
-    return sum(g.eweight[e] for e in walk.edge_ids)
 
 
 def parse_potential(data: bytes | str, g: Game) -> Potential:

@@ -125,7 +125,7 @@ class ValueResult:
 ValueHook = Callable[[Game, dict, int], None]
 
 
-def _choose_sup(g: Game, zones: Zones, cfg: SolverConfig) -> bool:
+def _choose_sup(g: Game, cls: list, cfg: SolverConfig) -> bool:
     """True to compute peaks toward N, False to dualise and work toward P."""
     policy = cfg.policy
     if policy is Policy.ALWAYS_N:
@@ -133,12 +133,10 @@ def _choose_sup(g: Game, zones: Zones, cfg: SolverConfig) -> bool:
     if policy is Policy.ALWAYS_P:
         return False
     if policy is Policy.INIT_SET_SIZE:
-        sn = len(safe_init(g, zones, Player.MIN))
-        sp = len(safe_init(g, zones, Player.MAX))
-        return sn >= sp
+        return sum(safe_init(g, cls, Player.MIN)) >= sum(safe_init(g, cls, Player.MAX))
     if policy is Policy.LARGER_ZONE:
-        return len(zones.N) >= len(zones.P)
-    return len(zones.N) <= len(zones.P)
+        return cls.count(-1) >= cls.count(1)
+    return cls.count(-1) <= cls.count(1)
 
 
 def _assert_certificate(g: Game, keep, shift, mn: list) -> None:
@@ -146,8 +144,15 @@ def _assert_certificate(g: Game, keep, shift, mn: list) -> None:
     z = compute_zones(g, keep, shift)
     if not is_reduced(g, z, keep, shift):
         raise SolverInternalError("certificate check failed: game not reduced")
-    if z.ZN != frozenset(i for i, won in enumerate(mn) if won):
+    if z.zn != mn:
         raise SolverInternalError("certificate check failed: regions mismatch zones")
+
+
+def _entry_reduced(g: Game, z: Zones, keep, shift, full: bool) -> bool:
+    """``z.reduced``; under FULL assertions first re-derived by ``is_reduced``."""
+    if full and z.reduced != is_reduced(g, z, keep, shift):
+        raise SolverInternalError("entry test disagrees with is_reduced")
+    return z.reduced
 
 
 def _hint_holds(g: Game, shift, sides: list, gone: list) -> bool:
@@ -161,8 +166,9 @@ def _hint_holds(g: Game, shift, sides: list, gone: list) -> bool:
     return reduced_at(g, sides, touched, shift)
 
 
-def _sup_loop(gl, zl, cfg, stats, depth, hook):
-    """Escape loop computing peak values toward N over the loop game ``gl``.
+def _sup_loop(gl, cls, cfg, stats, depth, hook):
+    """Escape loop computing peak values toward N over the loop game ``gl``,
+    whose zone classes are ``cls``.
 
     Yields child views to solve (see ``_frame``), each answered by the
     child's ``(mn, phi)``; returns either ``(None, values)`` when every
@@ -193,10 +199,7 @@ def _sup_loop(gl, zl, cfg, stats, depth, hook):
     owners, out, edst, ew = gl.owners, gl.out, gl.edst, gl.eweight
     cheap = cfg.assertions >= AssertLevel.CHEAP
     full = cfg.assertions >= AssertLevel.FULL
-    seed = safe_init(gl, zl, Player.MIN) if cfg.opt_init else zl.N
-    in_f = [v in seed for v in range(n)]
-    # A live frame keeps no zone sets while its children run.
-    del zl, seed
+    in_f = safe_init(gl, cls, Player.MIN) if cfg.opt_init else [c < 0 for c in cls]
     val = [0] * n
     pred_phi = [0] * n
     sides = [0] * n
@@ -277,7 +280,7 @@ def _sup_loop(gl, zl, cfg, stats, depth, hook):
         in_a, phi_a = _attract_max_core(gl, in_t, pred_phi)
         keep = [v for v in range(n) if not in_a[v]]
         mn_keep, phi_keep = (yield gl, keep, None, None) if keep else ([], [])
-        delta = _glue_delta_arrays(gl, in_a, phi_a, phi_keep)
+        delta = _glue_delta_arrays(gl, in_a, phi_a, keep, phi_keep)
         mn = [False] * n
         phi = [phi_a[v] + delta if in_a[v] else 0 for v in range(n)]
         for pv, won, x in zip(keep, mn_keep, phi_keep):
@@ -286,15 +289,17 @@ def _sup_loop(gl, zl, cfg, stats, depth, hook):
         return (mn, phi), None
 
 
-def _glue_delta_arrays(gl, in_a, phi_a, phi_keep) -> int:
-    """Shift making attractor-side modified weights of crossing edges >= 0."""
-    min_w = None
-    for e in range(gl.m):
-        if not in_a[gl.esrc[e]] and in_a[gl.edst[e]]:
-            if min_w is None or gl.eweight[e] < min_w:
-                min_w = gl.eweight[e]
-    if min_w is None:
+def _glue_delta_arrays(gl, in_a, phi_a, keep, phi_keep) -> int:
+    """Shift making attractor-side modified weights of crossing edges >= 0.
+
+    Every crossing edge starts at a vertex of ``keep``, the complement of the
+    attractor, so only their out-edges are scanned.
+    """
+    out, edst, ew = gl.out, gl.edst, gl.eweight
+    crossing = [ew[e] for v in keep for e in out[v] if in_a[edst[e]]]
+    if not crossing:
         return 0
+    min_w = min(crossing)
     min_phi_a = min(phi_a[v] for v in range(gl.n) if in_a[v])
     return -min_w - min_phi_a + max(phi_keep)
 
@@ -338,24 +343,18 @@ def _frame(view: tuple, cfg: SolverConfig, stats: Stats, depth: int, hook):
     n = g.n if keep is None else len(keep)
     acc = [0] * n
     restarts = 0
-    while not is_reduced(g, zones, keep, shift):
+    while not _entry_reduced(g, zones, keep, shift, full):
         if keep is not None:
             g = restrict(g, keep, shift)
             keep = shift = None
         restarts += 1
         if restarts > n + 2:
             raise SolverInternalError("relabeling failed to make progress")
-        if _choose_sup(g, zones, cfg):
-            gl, zl, flip = g, zones, False
-        else:
-            gl = dual_game(g)
-            zl = Zones(N=zones.P, Z=zones.Z, P=zones.N, ZN=zones.ZP, ZP=zones.ZN)
-            flip = True
-        loop = _sup_loop(gl, zl, cfg, stats, depth, hook)
-        # Hold no zone sets while the children run; the check below reads N.
-        shrink_to = zl.N if cheap else None
-        del zones, zl
-        outcome, values = yield from loop
+        flip = not _choose_sup(g, zones.cls, cfg)
+        # The dual game swaps the players, and so the N and P classes.
+        gl, cls = (dual_game(g), [-c for c in zones.cls]) if flip else (g, zones.cls)
+        del zones
+        outcome, values = yield from _sup_loop(gl, cls, cfg, stats, depth, hook)
         if outcome is None:
             # Every peak value is finite: relabel by them and start over.
             step = [-x for x in values] if flip else values
@@ -366,7 +365,8 @@ def _frame(view: tuple, cfg: SolverConfig, stats: Stats, depth: int, hook):
             stats.potential_reductions += 1
             stats.recursive_calls += 1
             zones = compute_zones(g)
-            if cheap and not (zones.N | zones.P) <= shrink_to:
+            # Every vertex left in N or P must come from the loop's N.
+            if cheap and any(c and s >= 0 for c, s in zip(zones.cls, cls)):
                 raise SolverInternalError(
                     "zones failed to shrink into the relabeled zone"
                 )
@@ -377,8 +377,7 @@ def _frame(view: tuple, cfg: SolverConfig, stats: Stats, depth: int, hook):
         if full:
             _assert_certificate(g, None, phi, mn)
         return mn, [a + p for a, p in zip(acc, phi)]
-    zn = zones.ZN
-    return [v in zn for v in range(n)], acc
+    return zones.zn, acc
 
 
 def _drive(g: Game, cfg: SolverConfig, stats: Stats, limit: int, hook):

@@ -7,13 +7,17 @@ so the production code can be tested against independent formulations.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Iterable
+
 import pytest
 
 from mpg import (
-    ClosedWalk,
     Game,
+    GameError,
     GenParams,
     Model,
+    NotASubgameError,
     Player,
     Rng,
     gen_random,
@@ -210,3 +214,53 @@ def sample_closed_walk(g: Game, rng: Rng) -> ClosedWalk:
         if v in seen:
             return ClosedWalk(tuple(edges[seen[v]:]))
         seen[v] = len(edges)
+
+
+def edge_list(g: Game) -> list:
+    """The edges as ``(src, dst, weight)`` tuples, indexed by edge id."""
+    return list(zip(g.esrc, g.edst, g.eweight))
+
+
+def is_trap(g: Game, s: Iterable[int], player: Player) -> bool:
+    """True iff ``player`` cannot leave ``s``: every edge leaving ``s`` starts
+    at an opponent vertex.  ``s`` must induce a subgame."""
+    ss = set(s)
+    if not ss:
+        raise GameError("trap test requires a non-empty vertex set")
+    for v in ss:
+        if not any(g.edst[e] in ss for e in g.out[v]):
+            raise NotASubgameError(
+                f"not a subgame: vertex {g.orig_ids[v]} is a sink in restriction"
+            )
+    for v in ss:
+        if g.owners[v] is player:
+            for e in g.out[v]:
+                if g.edst[e] not in ss:
+                    return False
+    return True
+
+
+@dataclass(frozen=True)
+class ClosedWalk:
+    """A cyclic sequence of edge ids: consecutive edges chain and the walk closes."""
+
+    edge_ids: tuple[int, ...]
+
+    def validate(self, g: Game) -> None:
+        ids = self.edge_ids
+        if not ids:
+            raise GameError("closed walk must contain at least one edge")
+        for e in ids:
+            if not (0 <= e < g.m):
+                raise GameError(f"edge id {e} out of range")
+        for a, b in zip(ids, ids[1:]):
+            if g.edst[a] != g.esrc[b]:
+                raise GameError("walk edges do not chain")
+        if g.edst[ids[-1]] != g.esrc[ids[0]]:
+            raise GameError("walk does not close")
+
+
+def cycle_weight(g: Game, walk: ClosedWalk) -> int:
+    """Total weight along a closed walk; invariant under apply_potential."""
+    walk.validate(g)
+    return sum(g.eweight[e] for e in walk.edge_ids)

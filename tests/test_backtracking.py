@@ -14,13 +14,11 @@ from mpg import (
     SolverInternalError,
     Stats,
     ThresholdMode,
-    Zones,
     apply_potential,
     brute_force_infsigma,
     brute_force_supsigma,
     compute_zones,
     dual_game,
-    is_trap,
     parse_game,
     preprocess_no_zero_cycles,
     restrict,
@@ -28,7 +26,7 @@ from mpg import (
 )
 from mpg.backtracking import _attract_max_core, _backtrack_core, _good_escape_core
 from mpg.solver import _sup_loop
-from conftest import small_corpus
+from conftest import is_trap, small_corpus
 
 
 def no_zero_cycles(count, seed0, max_n=7):
@@ -47,6 +45,11 @@ def backtrack(g, values: dict) -> dict:
     added = _backtrack_core(g, in_f, val, esc, sorted(values))
     assert sorted(added) == [v for v in range(g.n) if in_f[v] and v not in values]
     return {v: val[v] for v in range(g.n) if in_f[v]}
+
+
+def safe_set(g, cls, player) -> frozenset:
+    """The vertices ``safe_init`` marks safe."""
+    return frozenset(v for v, safe in enumerate(safe_init(g, cls, player)) if safe)
 
 
 def attract_max(g, target_phi: dict) -> dict:
@@ -169,23 +172,23 @@ class TestAttractAndReduce:
 class TestSafeInit:
     def test_whole_game_when_everything_is_negative(self, g1):
         z = compute_zones(g1)
-        assert safe_init(g1, z, Player.MIN) == {0}
+        assert safe_set(g1, z.cls, Player.MIN) == {0}
 
     def test_positive_min_vertex_excluded(self, g3):
         z = compute_zones(g3)
-        assert safe_init(g3, z, Player.MIN) == {1}
+        assert safe_set(g3, z.cls, Player.MIN) == {1}
 
     def test_zero_edge_chain_into_negative_zone(self):
         g = parse_game(
             "mpg 1\nvertex 0 MIN\nvertex 1 MIN\nedge 0 1 0\nedge 1 1 -1\n"
         )
         z = compute_zones(g)
-        assert safe_init(g, z, Player.MIN) >= {0, 1}
+        assert safe_set(g, z.cls, Player.MIN) >= {0, 1}
 
     def test_contains_zone_and_peak_is_zero(self):
         for g in no_zero_cycles(150, seed0=700, max_n=6):
             z = compute_zones(g)
-            safe = safe_init(g, z, Player.MIN)
+            safe = safe_set(g, z.cls, Player.MIN)
             assert safe >= z.N
             oracle = brute_force_supsigma(g, z.N)
             for v in safe:
@@ -194,7 +197,7 @@ class TestSafeInit:
     def test_max_side_contains_zone_and_valley_is_zero(self):
         for g in no_zero_cycles(100, seed0=701, max_n=6):
             z = compute_zones(g)
-            safe = safe_init(g, z, Player.MAX)
+            safe = safe_set(g, z.cls, Player.MAX)
             assert safe >= z.P
             oracle = brute_force_infsigma(g, z.P)
             for v in safe:
@@ -207,9 +210,9 @@ class TestSafeInit:
         grew = 0
         for g in small_corpus(150, seed0=702, max_n=8, weight_bound=2):
             z = compute_zones(g)
-            swapped = Zones(N=z.P, Z=z.Z, P=z.N, ZN=z.ZP, ZP=z.ZN)
-            safe = safe_init(g, z, Player.MAX)
-            assert safe == safe_init(dual_game(g), swapped, Player.MIN)
+            swapped = [-c for c in z.cls]
+            safe = safe_set(g, z.cls, Player.MAX)
+            assert safe == safe_set(dual_game(g), swapped, Player.MIN)
             grew += safe != z.P
         assert grew > 20
 
@@ -274,7 +277,7 @@ class TestGoodEscapeSet:
             "mpg 1\nvertex 0 MIN\nvertex 1 MIN\nvertex 2 MAX\n"
             "edge 0 0 -1\nedge 1 0 1\nedge 1 2 0\nedge 2 1 1\nedge 2 2 1\n"
         )
-        loop = _sup_loop(g, compute_zones(g), SolverConfig(), Stats(), 0, None)
+        loop = _sup_loop(g, compute_zones(g).cls, SolverConfig(), Stats(), 0, None)
         assert next(loop)[1] == [1, 2]
         with pytest.raises(SolverInternalError, match="no escape edge"):
             loop.send(([True, True], [0, 0]))

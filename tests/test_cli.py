@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
 import shutil
@@ -14,9 +15,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import mpg
-from mpg import parse_game, serialize_game, serialize_potential, solve_threshold
+from mpg import (
+    GenParams,
+    Model,
+    gen_random,
+    parse_game,
+    serialize_game,
+    serialize_potential,
+    solve_threshold,
+)
 from mpg.cli import BENCH_HEADER, _config_from_args, build_parser, main
 from mpg.solver import AssertLevel, SolverConfig
+import conftest
 from conftest import G3_TEXT, G4_TEXT, G5_TEXT
 
 
@@ -128,6 +138,39 @@ class TestZones:
         assert doc == {
             "N": [3], "Z": [1, 2], "P": [0], "ZN": [3], "ZP": [0, 1, 2]
         }
+
+    # Output of `mpg zones` per fixture, recorded when the zones were sets.
+    FIXTURES = {
+        "G1_TEXT": '{"N":[0],"Z":[],"P":[],"ZN":[0],"ZP":[]}\n',
+        "G2_TEXT": '{"N":[],"Z":[],"P":[0],"ZN":[],"ZP":[0]}\n',
+        "G3_TEXT": '{"N":[1],"Z":[],"P":[0],"ZN":[1],"ZP":[0]}\n',
+        "G4_TEXT": '{"N":[1],"Z":[],"P":[0],"ZN":[1],"ZP":[0]}\n',
+        "G5_TEXT": '{"N":[3],"Z":[1,2],"P":[0],"ZN":[3],"ZP":[0,1,2]}\n',
+        "G8_TEXT": '{"N":[0],"Z":[],"P":[1,2],"ZN":[0],"ZP":[1,2]}\n',
+        "G9_TEXT": '{"N":[0],"Z":[],"P":[1],"ZN":[0],"ZP":[1]}\n',
+    }
+    # sha256 of the output on n=200 games with W=3 (all five zones non-empty).
+    GENERATED = {
+        Model.UNIFORM: "f2bcb8d3a883800d54fa959c7b65bfd08cce1216ecaad0c7014d9eb980c0d255",
+        Model.CYCLE_HEAVY: "eeeece5adc27a1d7d1b9fd8c5b9112d5dcded2f9d853985f8e3eb169650c5582",
+        Model.LAYERED: "b5b33353d84fc9b3890d98ccc6aa62b7f186d131f238256830127696dabbdc68",
+    }
+
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_fixture_output_is_unchanged(self, name, tmp_path, capsys):
+        path = tmp_path / "g.mpg"
+        path.write_text(getattr(conftest, name))
+        assert main(["zones", str(path)]) == 0
+        assert capsys.readouterr().out == self.FIXTURES[name]
+
+    @pytest.mark.parametrize("model", list(GENERATED), ids=lambda m: m.value)
+    def test_generated_output_is_unchanged(self, model, tmp_path, capsys):
+        g = gen_random(GenParams(n=200, out_degree=(1, 4), weight_bound=3, model=model, seed=5))
+        path = tmp_path / "g.mpg"
+        path.write_bytes(serialize_game(g))
+        assert main(["zones", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == self.GENERATED[model]
 
 
 def _potential_file(path: Path, solve_json: str) -> str:

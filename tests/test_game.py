@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mpg import (
-    ClosedWalk,
     Game,
     GameError,
     GenParams,
@@ -17,10 +16,8 @@ from mpg import (
     Rng,
     ThresholdMode,
     apply_potential,
-    cycle_weight,
     dual_game,
     gen_random,
-    is_trap,
     parse_game,
     parse_potential,
     preprocess_no_zero_cycles,
@@ -31,6 +28,10 @@ from mpg import (
 from conftest import (
     G1_TEXT,
     G3_TEXT,
+    ClosedWalk,
+    cycle_weight,
+    edge_list,
+    is_trap,
     sample_closed_walk,
     simple_cycles,
     small_corpus,
@@ -55,7 +56,7 @@ class TestParse:
     def test_minimal_game(self, g1):
         assert g1.n == 1 and g1.m == 1
         assert g1.owners == (Player.MIN,)
-        assert g1.edges[0] == (0, 0, -1)
+        assert edge_list(g1)[0] == (0, 0, -1)
         assert g1.W == 1
 
     def test_sink_vertex_rejected(self):
@@ -107,7 +108,7 @@ class TestParse:
         g = parse_game(text)
         assert g.orig_ids == (9, 2)
         assert g.owners == (Player.MIN, Player.MAX)
-        assert g.edges[0] == (0, 1, 1)
+        assert edge_list(g)[0] == (0, 1, 1)
 
     def test_empty_game_parses(self):
         g = parse_game("mpg 1\n")
@@ -234,7 +235,7 @@ class TestRestrict:
 
     def test_self_loop_survives(self, g5):
         sub = restrict(g5, {0})
-        assert sub.n == 1 and sub.edges[0] == (0, 0, 1)
+        assert sub.n == 1 and edge_list(sub)[0] == (0, 0, 1)
         assert sub.orig_ids == (0,)
 
     def test_full_restriction_is_identity(self, g5):

@@ -37,7 +37,7 @@ from mpg import (
 )
 from mpg.cli import main as cli_main
 from mpg.solver import _cycle_mean_bounds, _frame, _glue_delta_arrays, _hint_holds
-from conftest import small_corpus
+from conftest import G3_TEXT, G5_TEXT, small_corpus
 
 FULL = SolverConfig(assertions=AssertLevel.FULL)
 
@@ -180,13 +180,13 @@ class TestGlueDelta:
         g = parse_game(
             "mpg 1\nvertex 0 MIN\nvertex 1 MAX\nedge 0 1 -3\nedge 0 0 -1\nedge 1 1 1\n"
         )
-        assert _glue_delta_arrays(g, [False, True], [0, 0], [0]) == 3
+        assert _glue_delta_arrays(g, [False, True], [0, 0], [0], [0]) == 3
 
     def test_no_crossing_edges(self):
         g = parse_game(
             "mpg 1\nvertex 0 MIN\nvertex 1 MAX\nedge 0 0 -1\nedge 1 1 1\n"
         )
-        assert _glue_delta_arrays(g, [False, True], [0, 5], [7]) == 0
+        assert _glue_delta_arrays(g, [False, True], [0, 5], [0], [7]) == 0
 
     def test_worked_example(self):
         g = parse_game(
@@ -194,7 +194,7 @@ class TestGlueDelta:
             "edge 0 2 -3\nedge 1 3 5\nedge 0 1 0\nedge 1 0 0\nedge 2 3 0\nedge 3 2 0\n"
         )
         phi_a, phi_rest = [0, 0, 0, 2], {0: 1, 1: 4}
-        delta = _glue_delta_arrays(g, [False, False, True, True], phi_a, [1, 4])
+        delta = _glue_delta_arrays(g, [False, False, True, True], phi_a, [0, 1], [1, 4])
         assert delta == 7
         # the returned shift satisfies the gluing bound on every crossing edge
         for e in range(g.m):
@@ -433,6 +433,36 @@ class TestAssertionMachinery:
         cfg = SolverConfig(assertions=AssertLevel.OFF)
         for g in no_zero_cycles(60, seed0=19):
             assert reduce_game(g, cfg).min_region == brute_force_solve(g).min_region
+
+    def test_full_assertions_on_threshold_small_games(self, monkeypatch):
+        # FULL re-derives every entry decision of ``compute_zones`` with
+        # ``is_reduced``, at least once per frame entry and relabel restart.
+        checks = []
+        real = solver_module.is_reduced
+
+        def counted(*args):
+            checks.append(len(args))
+            return real(*args)
+
+        monkeypatch.setattr(solver_module, "is_reduced", counted)
+        entries = 0
+        for i in range(20):
+            g = threshold_small_game(i)
+            res = solve_threshold(g, FULL)
+            assert res == solve_threshold(g)
+            entries += res.stats.recursive_calls
+        assert entries > 7000 and len(checks) >= entries
+
+    @pytest.mark.parametrize("text, flag", [(G3_TEXT, True), (G5_TEXT, False)])
+    def test_wrong_entry_flag_is_caught_at_full_level(self, text, flag, monkeypatch):
+        real = solver_module.compute_zones
+        monkeypatch.setattr(
+            solver_module, "compute_zones", lambda *args: real(*args)._replace(reduced=flag)
+        )
+        g = parse_game(text)
+        assert is_reduced(g, real(g)) is not flag
+        with pytest.raises(SolverInternalError, match="entry test disagrees"):
+            reduce_game(g, FULL)
 
     @pytest.mark.parametrize("level", ["off", "cheap"])
     def test_sink_remainder_is_an_internal_error(self, level, monkeypatch, tmp_path):

@@ -149,3 +149,33 @@ class TestViews:
     def test_view_with_a_sink_is_not_a_subgame(self, g3):
         with pytest.raises(NotASubgameError, match="vertex 1 is a sink"):
             compute_zones(g3, [1])
+
+
+class TestEntryFlag:
+    """``compute_zones`` decides reducedness from the vertices its
+    construction leaves open; ``is_reduced`` checks every vertex."""
+
+    def test_matches_is_reduced_on_random_views(self):
+        # Shifts are random, or a solver certificate, which gives many zero
+        # edges and reduced views, or that certificate perturbed at a few
+        # vertices, which gives near misses.
+        rng = Rng(23)
+        outcomes = {(r, s): 0 for r in (True, False) for s in (True, False)}
+        for g in corpus_without_zero_cycles(600, seed0=400, max_n=10):
+            cert = [reduce_game(g).potential[v] for v in range(g.n)]
+            near = [x + rng.randint(-1, 1) * (rng.randint(0, 3) == 0) for x in cert]
+            views = subgame_views(g, rng) + [(None, None)]
+            views += [(keep, shift) for keep, _ in views[:2] for shift in (cert, near)]
+            views += [(None, [rng.randint(-9, 9) for _ in range(g.n)]), (None, cert), (None, near)]
+            for keep, shift in views:
+                z = compute_zones(g, keep, shift)
+                assert z.reduced == is_reduced(g, z, keep, shift)
+                outcomes[z.reduced, shift is not None] += 1
+        assert sum(outcomes.values()) >= 5000
+        assert min(outcomes.values()) > 200, outcomes
+
+    def test_sets_read_off_the_lists(self, g5):
+        z = compute_zones(g5)
+        assert z.cls == [1, 0, 0, -1] and z.zn == [False, False, False, True]
+        assert z.N == {3} and z.Z == {1, 2} and z.P == {0}
+        assert z.ZN == {3} and z.ZP == {0, 1, 2}
