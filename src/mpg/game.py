@@ -175,21 +175,25 @@ class Game:
         return f"Game(n={self.n}, m={self.m}, W={self.W})"
 
 
+def _parse_int(token: str, lineno: int, what: str) -> int:
+    # An optional sign and ASCII digits; int() alone also reads 1_0 and non-ASCII digits.
+    if token.isascii() and "_" not in token:
+        try:
+            return int(token)
+        except ValueError:
+            pass
+    raise ParseError(f"{what} is not an integer: {token!r}", lineno)
+
+
 def _parse_uint(token: str, lineno: int, what: str) -> int:
-    try:
-        value = int(token)
-    except ValueError:
-        raise ParseError(f"{what} is not an integer: {token!r}", lineno) from None
+    value = _parse_int(token, lineno, what)
     if value < 0 or token.startswith("+"):
         raise ParseError(f"{what} must be a non-negative integer: {token!r}", lineno)
     return value
 
 
 def _parse_int64(token: str, lineno: int, what: str) -> int:
-    try:
-        value = int(token)
-    except ValueError:
-        raise ParseError(f"{what} is not an integer: {token!r}", lineno) from None
+    value = _parse_int(token, lineno, what)
     if not (INT64_MIN <= value <= INT64_MAX):
         raise ParseError(f"{what} out of 64-bit signed range: {token}", lineno)
     return value

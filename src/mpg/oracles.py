@@ -19,9 +19,6 @@ from .game import Game, Player
 PLUS_INF = float("inf")
 MINUS_INF = float("-inf")
 
-#: Oracle values are exact ints (or Fractions) when finite, else +/- infinity.
-OracleValue = object
-
 DEFAULT_BUDGET = 2**20
 
 

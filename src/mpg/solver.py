@@ -64,7 +64,6 @@ class SolverConfig:
     remember_potentials: bool = False
     threshold_mode: ThresholdMode = ThresholdMode.WEAK
     assertions: AssertLevel = AssertLevel.CHEAP
-    recursion_limit: int | None = None  # defaults to n + 1 per solve
 
 
 @dataclass
@@ -142,15 +141,15 @@ def _choose_sup(g: Game, cls: list, cfg: SolverConfig) -> bool:
 def _assert_certificate(g: Game, keep, shift, mn: list) -> None:
     """Raise unless the view (g, keep, shift) is reduced with ZN marked by ``mn``."""
     z = compute_zones(g, keep, shift)
-    if not is_reduced(g, z, keep, shift):
+    if not is_reduced(g, z, shift):
         raise SolverInternalError("certificate check failed: game not reduced")
-    if z.zn != mn:
+    if [s > 0 for s in z.side if s] != mn:
         raise SolverInternalError("certificate check failed: regions mismatch zones")
 
 
-def _entry_reduced(g: Game, z: Zones, keep, shift, full: bool) -> bool:
+def _entry_reduced(g: Game, z: Zones, shift, full: bool) -> bool:
     """``z.reduced``; under FULL assertions first re-derived by ``is_reduced``."""
-    if full and z.reduced != is_reduced(g, z, keep, shift):
+    if full and z.reduced != is_reduced(g, z, shift):
         raise SolverInternalError("entry test disagrees with is_reduced")
     return z.reduced
 
@@ -181,9 +180,10 @@ def _sup_loop(gl, cls, cfg, stats, depth, hook):
     next shift is the previous one plus the child's potential; otherwise
     when that potential is zero), the view carries it as the hint
     ``(sides, gone)``: ``sides`` over ``gl`` is 1 on the Min side, -1 on the
-    Max side and 0 outside the remainder, and ``gone`` lists the vertices
-    that left it.  The attractor-split child gets no hint.  ``sides`` is kept
-    current on every pass, as it also tells ``_good_escape_core`` the side.
+    Max side and 0 outside the remainder, the format of ``Zones.side``, and
+    ``gone`` lists the vertices that left it.  The attractor-split child gets
+    no hint.  ``sides`` is kept current on every pass, as it also tells
+    ``_good_escape_core`` the side.
 
     Each pass fixes one escape with one step for both players.  While the
     child calls part of the remainder Max-won, Min escapes from that side
@@ -331,8 +331,8 @@ def _frame(view: tuple, cfg: SolverConfig, stats: Stats, depth: int, hook):
     full = cfg.assertions >= AssertLevel.FULL
     g, keep, shift, hint = view
     if hint is not None and _hint_holds(g, shift, *hint):
-        sides = hint[0]
-        mn = [sides[v] > 0 for v in keep]
+        side = hint[0]
+        mn = [side[v] > 0 for v in keep]
         if full:
             _assert_certificate(g, keep, shift, mn)
         return mn, [0] * len(keep)
@@ -343,16 +343,18 @@ def _frame(view: tuple, cfg: SolverConfig, stats: Stats, depth: int, hook):
     n = g.n if keep is None else len(keep)
     acc = [0] * n
     restarts = 0
-    while not _entry_reduced(g, zones, keep, shift, full):
+    while not _entry_reduced(g, zones, shift, full):
+        cls = zones.cls
         if keep is not None:
             g = restrict(g, keep, shift)
+            cls = [cls[v] for v in keep]
             keep = shift = None
         restarts += 1
         if restarts > n + 2:
             raise SolverInternalError("relabeling failed to make progress")
-        flip = not _choose_sup(g, zones.cls, cfg)
+        flip = not _choose_sup(g, cls, cfg)
         # The dual game swaps the players, and so the N and P classes.
-        gl, cls = (dual_game(g), [-c for c in zones.cls]) if flip else (g, zones.cls)
+        gl, cls = (dual_game(g), [-c for c in cls]) if flip else (g, cls)
         del zones
         outcome, values = yield from _sup_loop(gl, cls, cfg, stats, depth, hook)
         if outcome is None:
@@ -377,10 +379,11 @@ def _frame(view: tuple, cfg: SolverConfig, stats: Stats, depth: int, hook):
         if full:
             _assert_certificate(g, None, phi, mn)
         return mn, [a + p for a, p in zip(acc, phi)]
-    return zones.zn, acc
+    side = zones.side
+    return ([s > 0 for s in side] if keep is None else [side[v] > 0 for v in keep]), acc
 
 
-def _drive(g: Game, cfg: SolverConfig, stats: Stats, limit: int, hook):
+def _drive(g: Game, cfg: SolverConfig, stats: Stats, hook):
     stack = [_frame((g, None, None, None), cfg, stats, 0, hook)]
     sent = None
     while True:
@@ -392,7 +395,7 @@ def _drive(g: Game, cfg: SolverConfig, stats: Stats, limit: int, hook):
                 return stop.value
             sent = stop.value
             continue
-        if len(stack) + 1 > limit:
+        if len(stack) > g.n:
             raise SolverInternalError("recursion limit exceeded")
         stack.append(_frame(child, cfg, stats, len(stack), hook))
         stats.max_depth = max(stats.max_depth, len(stack) - 1)
@@ -409,13 +412,10 @@ def reduce_game(
     produce identical results and statistics.
     """
     cfg = cfg or SolverConfig()
-    limit = cfg.recursion_limit if cfg.recursion_limit is not None else g.n + 1
-    if limit < g.n:
-        raise ValueError(f"recursion_limit {limit} below vertex count {g.n}")
     stats = Stats()
     if g.n == 0:
         return SolveResult(frozenset(), frozenset(), {}, {}, {}, stats)
-    mn, phi = _drive(g, cfg, stats, limit, on_sup_values)
+    mn, phi = _drive(g, cfg, stats, on_sup_values)
     result = SolveResult(
         min_region=frozenset(v for v in range(g.n) if mn[v]),
         max_region=frozenset(v for v in range(g.n) if not mn[v]),

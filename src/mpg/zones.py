@@ -5,10 +5,13 @@ Vertices are classified by the weight sign of their immediately optimal edge
 edge of their sign first (ZN for Min, ZP for Max).  Both computations assume
 the game has no zero-weight cycles; the caller is responsible for that.
 
-The zones of a game (or of a view of one) are kept per position, as two
-lists: ``cls`` holds -1, 0 or 1 for N, Z or P, and ``zn`` is True on ZN.
-``compute_zones`` also decides, in the same pass, whether the game is
-reduced.  The five zone sets are derived from the lists only when read.
+The zones of a game, or of a view of one, are kept as two lists indexed by
+the game's vertices: ``cls`` holds -1, 0 or 1 for N, Z or P, and ``side``
+holds 1 on ZN, -1 on ZP and 0 outside the view.  ``side`` is the format
+``reduced_at`` tests, so a side assignment carried over from elsewhere is
+checked the same way.  ``compute_zones`` also decides, in the same pass,
+whether the view is reduced.  The five zone sets are derived from the lists
+only when read.
 """
 
 from __future__ import annotations
@@ -19,25 +22,25 @@ from .game import Game, NotASubgameError, Player
 
 
 class Zones(NamedTuple):
-    """The zones of one game by position, and whether the game is reduced.
+    """The zones of one view by vertex, and whether the view is reduced.
 
-    N, Z, P partition V, as do ZN and ZP, with N contained in ZN and P in
-    ZP; each set is built from the lists on access.
+    N, Z, P partition the view's vertices, as do ZN and ZP, with N contained
+    in ZN and P in ZP; each set is built from the lists on access.
     """
 
     cls: list
-    zn: list
+    side: list
     reduced: bool
 
     N = property(lambda self: _where(self.cls, -1))
-    Z = property(lambda self: _where(self.cls, 0))
+    Z = property(lambda self: (self.ZN | self.ZP) - self.N - self.P)
     P = property(lambda self: _where(self.cls, 1))
-    ZN = property(lambda self: _where(self.zn, True))
-    ZP = property(lambda self: _where(self.zn, False))
+    ZN = property(lambda self: _where(self.side, 1))
+    ZP = property(lambda self: _where(self.side, -1))
 
 
 def _where(xs: list, value) -> frozenset:
-    return frozenset(i for i, x in enumerate(xs) if x == value)
+    return frozenset(v for v, x in enumerate(xs) if x == value)
 
 
 def compute_zones(
@@ -67,82 +70,69 @@ def compute_zones(
     inside ZN).
 
     With ``verts`` (ascending) the zones are those of ``restrict(g, verts,
-    shift)``, computed on ``g`` without building it: position i of the
-    result is vertex ``verts[i]``, and each edge (v, v') between kept
-    vertices weighs w + shift[v'] - shift[v].  Raises ``NotASubgameError`` if
-    a kept vertex has no edge to another kept vertex.
+    shift)``, computed on ``g`` without building it: vertex ``verts[i]``
+    stands for the subgame's vertex i, ``side`` is 0 on every other vertex,
+    and each edge (v, v') between kept vertices weighs w + shift[v'] -
+    shift[v].  Raises ``NotASubgameError`` if a kept vertex has no edge to
+    another kept vertex.
     """
     n = g.n
-    whole = verts is None
-    if whole:
-        verts, pos = range(n), list(range(n))
+    # ``side`` first marks the view with -1; ZN is then marked 1.
+    if verts is None:
+        verts = range(n)
+        side = [-1] * n
     else:
-        pos = [-1] * n
-        for i, v in enumerate(verts):
-            pos[v] = i
+        side = [0] * n
+        for v in verts:
+            side[v] = -1
     sh = [0] * n if shift is None else shift
-    k = len(verts)
     owners, out, inc, ew, edst, esrc = g.owners, g.out, g.inc, g.eweight, g.edst, g.esrc
-    cls = [0] * k
+    cls = [0] * n
     # Zero-edge escape counters for Max vertices whose best weight is zero.
-    esc = [0] * k
+    esc = [0] * n
     mx = Player.MAX
-    is_max = [owners[v] is mx for v in verts]
-    for i, v in enumerate(verts):
+    for v in verts:
         # Each kept edge's shifted weight plus sv: it weighs zero iff it equals sv.
         sv = sh[v]
-        if shift is not None:
-            ws = [ew[e] + sh[d] for e in out[v] if pos[d := edst[e]] >= 0]
-        elif whole:
-            ws = [ew[e] for e in out[v]]
-        else:
-            ws = [ew[e] for e in out[v] if pos[edst[e]] >= 0]
+        ws = [ew[e] + sh[d] for e in out[v] if side[d := edst[e]]]
         if not ws:
             raise NotASubgameError(
                 f"not a subgame: vertex {g.orig_ids[v]} is a sink in restriction"
             )
-        best = max(ws) if is_max[i] else min(ws)
+        is_max = owners[v] is mx
+        best = max(ws) if is_max else min(ws)
         if best < sv:
-            cls[i] = -1
+            cls[v] = -1
+            side[v] = 1
         elif best > sv:
-            cls[i] = 1
-        elif is_max[i]:
-            esc[i] = ws.count(sv)
-    # A position is marked in ``zn`` when it is pushed; the least fixpoint
+            cls[v] = 1
+        elif is_max:
+            esc[v] = ws.count(sv)
+    # A vertex is marked in ``side`` when it is pushed; the least fixpoint
     # does not depend on the order of the pops.
-    zn = [c < 0 for c in cls]
-    stack = [i for i in range(k) if zn[i]]
+    stack = [v for v in verts if side[v] > 0]
     while stack:
-        i = stack.pop()
-        v = verts[i]
+        v = stack.pop()
         sv = sh[v]
         for e in inc[v]:
             u = esrc[e]
-            j = pos[u]
-            if j < 0 or zn[j] or cls[j] > 0 or ew[e] + sv != sh[u]:
+            if side[u] >= 0 or cls[u] > 0 or ew[e] + sv != sh[u]:
                 continue
-            if is_max[j]:
-                esc[j] -= 1
-                if esc[j]:
+            if owners[u] is mx:
+                esc[u] -= 1
+                if esc[u]:
                     continue
-            zn[j] = True
-            stack.append(j)
-    # side[v]: 1 for a kept vertex in ZN, -1 for one in ZP, 0 outside the view.
-    if whole:
-        side = [1 if z else -1 for z in zn]
-    else:
-        side = [0] * n
-        for v, z in zip(verts, zn):
-            side[v] = 1 if z else -1
+            side[u] = 1
+            stack.append(u)
     reduced = True
-    for i, v in enumerate(verts):
+    for v in verts:
         s = side[v]
-        if is_max[i] is (s > 0):
+        if (owners[v] is mx) is (s > 0):
             # Max in ZN or Min in ZP: no successor may be on the other side.
             if -s in [side[edst[e]] for e in out[v]]:
                 reduced = False
                 break
-        elif cls[i] == -s:
+        elif cls[v] == -s:
             # Min in N or Max in P: one edge on its side of zero into its side.
             sv = sh[v]
             for e in out[v]:
@@ -152,12 +142,10 @@ def compute_zones(
             else:
                 reduced = False
                 break
-    return Zones(cls, zn, reduced)
+    return Zones(cls, side, reduced)
 
 
-def is_reduced(
-    g: Game, z: Zones, verts: Sequence[int] | None = None, shift: Sequence[int] | None = None
-) -> bool:
+def is_reduced(g: Game, z: Zones, shift: Sequence[int] | None = None) -> bool:
     """True iff every vertex is reduced, checked against its own zone.
 
     A ZN vertex is reduced when Min can force the first edge to be <= 0 and
@@ -171,15 +159,10 @@ def is_reduced(
     pin its winner and the game is not reduced.
 
     This is the reference for ``z.reduced``, which ``compute_zones`` decides
-    from fewer vertices.  ``verts`` and ``shift`` select a view as in
-    ``compute_zones``, whose result ``z`` must then be.
+    from fewer vertices.  ``z.side`` gives the view, and ``shift`` must be
+    the one ``z`` was computed with.
     """
-    if verts is None:
-        verts = range(g.n)
-    side = [0] * g.n
-    for v, won in zip(verts, z.zn):
-        side[v] = 1 if won else -1
-    return reduced_at(g, side, verts, shift)
+    return reduced_at(g, z.side, [v for v, s in enumerate(z.side) if s], shift)
 
 
 def reduced_at(
@@ -188,9 +171,10 @@ def reduced_at(
     """True iff each vertex of ``verts`` is reduced under the side assignment.
 
     ``side[v]`` is 1 for a vertex of the view on the ZN side, -1 for one on
-    the ZP side and 0 for a vertex outside the view; edges into the latter do
-    not count.  The rule is ``is_reduced``'s, for one vertex at a time, and a
-    vertex with no edge inside the view is never reduced.
+    the ZP side and 0 for a vertex outside the view, as in ``Zones``; edges
+    into the latter do not count.  The rule is ``is_reduced``'s, for one
+    vertex at a time, and a vertex with no edge inside the view is never
+    reduced.
     """
     sh = [0] * g.n if shift is None else shift
     out, ew, edst, owners = g.out, g.eweight, g.edst, g.owners

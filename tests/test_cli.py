@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -76,6 +79,15 @@ class TestSolve:
         path.write_text("mpg 1\nvertex 0 MIN\n")
         assert main(["solve", str(path)]) == 2
         assert "sink" in capsys.readouterr().err
+
+    def test_python_only_integer_spelling(self, tmp_path, capsys):
+        path = tmp_path / "bad.mpg"
+        bad_id = "mpg 1\nvertex 1_0 MIN\nedge 10 10 1\n"
+        bad_weight = "mpg 1\nvertex 0 MIN\nedge 0 0 -\u0663\n"
+        for text in (bad_id, bad_weight):
+            path.write_bytes(text.encode("utf-8"))
+            assert main(["solve", str(path)]) == 2
+            assert "is not an integer" in capsys.readouterr().err
 
     def test_unknown_flag_rejected(self, g3_file):
         with pytest.raises(SystemExit) as exc:
@@ -201,6 +213,13 @@ class TestCheck:
         assert main(["check", str(gpath), str(ppath)]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["reduced"] is False
+
+    def test_python_only_integer_spelling(self, g3_file, tmp_path, capsys):
+        ppath = tmp_path / "phi.pot"
+        for text in ("0 5\n1 1_0\n", "0 -\u0663\n"):
+            ppath.write_bytes(text.encode("utf-8"))
+            assert main(["check", g3_file, str(ppath)]) == 2
+            assert "is not an integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [[], ["--strict-threshold"]], ids=["weak", "strict"])
     def test_solve_then_check_round_trip(self, flags, tmp_path, capsys):
@@ -497,3 +516,29 @@ class TestConsoleScript:
             )
             assert proc.returncode == 2
             assert "error" in proc.stderr
+
+
+class TestReadme:
+    """README.md names every configuration field and command-line flag."""
+
+    README = Path(__file__).resolve().parent.parent / "README.md"
+
+    def test_config_table_matches_solver_config(self):
+        text = self.README.read_text(encoding="utf-8")
+        table = text.split("`SolverConfig` fields:", 1)[1].split("\n\n")[1]
+        rows = re.findall(r"^\| `(\w+)` \|", table, flags=re.M)
+        assert rows == [f.name for f in dataclasses.fields(SolverConfig)]
+
+    def test_every_long_flag_is_documented(self):
+        flags = set()
+        parsers = [build_parser()]
+        while parsers:
+            parser = parsers.pop()
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    parsers.extend(action.choices.values())
+                elif not isinstance(action, argparse._HelpAction):
+                    flags.update(o for o in action.option_strings if o.startswith("--"))
+        assert len(flags) > 15
+        text = self.README.read_text(encoding="utf-8")
+        assert sorted(f for f in flags if not re.search(re.escape(f) + r"(?![\w-])", text)) == []

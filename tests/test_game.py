@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -98,6 +100,28 @@ class TestParse:
     def test_negative_vertex_id(self):
         with pytest.raises(ParseError, match="non-negative"):
             parse_game("mpg 1\nvertex -1 MIN\n")
+
+    @pytest.mark.parametrize(
+        "line, what, token",
+        [
+            ("vertex 1_0 MIN", "vertex id", "1_0"),
+            ("vertex \u0663 MIN", "vertex id", "\u0663"),
+            ("edge 0 0 -\u0663", "edge weight", "-\u0663"),
+            ("edge 0 \uff10 1", "edge target", "\uff10"),
+            ("edge 0 0 1_000", "edge weight", "1_000"),
+        ],
+    )
+    def test_only_ascii_digits_are_integers(self, line, what, token):
+        # Python's int() also reads underscores and non-ASCII digits.
+        message = f"line 3: {what} is not an integer: {token!r}"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_game(f"mpg 1\nvertex 0 MIN\n{line}\n")
+
+    def test_signs_and_leading_zeros(self):
+        g = parse_game("mpg 1\nvertex 007 MIN\nedge 7 7 +3\n")
+        assert g.orig_ids == (7,) and g.eweight == (3,)
+        with pytest.raises(ParseError, match=re.escape("must be a non-negative integer: '+7'")):
+            parse_game("mpg 1\nvertex +7 MIN\n")
 
     def test_comments_and_blank_lines(self):
         text = "# a comment\n\nmpg 1\n# another\nvertex 0 MIN\n\nedge 0 0 -1\n"
@@ -341,6 +365,18 @@ class TestPotentialFiles:
     def test_duplicate_vertex(self, g1):
         with pytest.raises(ParseError, match="duplicate"):
             parse_potential("0 3\n0 4\n", g1)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0 1_0\n", "potential value is not an integer: '1_0'"),
+            ("0 -\u0663\n", "potential value is not an integer: '-\u0663'"),
+            ("\u0660 3\n", "vertex id is not an integer: '\u0660'"),
+        ],
+    )
+    def test_only_ascii_digits_are_integers(self, g1, text, message):
+        with pytest.raises(ParseError, match=re.escape(f"line 1: {message}")):
+            parse_potential(text, g1)
 
     def test_uses_original_ids(self):
         g = parse_game("mpg 1\nvertex 7 MIN\nedge 7 7 -1\n")

@@ -135,15 +135,25 @@ class TestIsReduced:
 
 class TestViews:
     def test_view_matches_restricted_game(self):
+        # A view's lists are indexed by the parent's vertices: kept vertex
+        # keep[i] carries what vertex i of the restricted game does.
         rng = Rng(7)
         outcomes = []
         for g in corpus_without_zero_cycles(200, seed0=120, max_n=9):
             for keep, shift in subgame_views(g, rng):
                 sub = restrict(g, keep, shift)
                 z = compute_zones(g, keep, shift)
-                assert z == compute_zones(sub)
-                outcomes.append(is_reduced(sub, z))
-                assert is_reduced(g, z, keep, shift) == outcomes[-1]
+                zs = compute_zones(sub)
+                assert [z.cls[v] for v in keep] == zs.cls
+                assert [z.side[v] for v in keep] == zs.side
+                assert z.reduced == zs.reduced
+                kept = frozenset(keep)
+                assert all(z.side[v] == 0 for v in range(g.n) if v not in kept)
+                for name in ("N", "Z", "P", "ZN", "ZP"):
+                    assert getattr(z, name) == {keep[i] for i in getattr(zs, name)}
+                    assert getattr(z, name) <= kept
+                outcomes.append(is_reduced(sub, zs))
+                assert is_reduced(g, z, shift) == outcomes[-1]
         assert min(outcomes.count(True), outcomes.count(False)) > 20
 
     def test_view_with_a_sink_is_not_a_subgame(self, g3):
@@ -169,13 +179,13 @@ class TestEntryFlag:
             views += [(None, [rng.randint(-9, 9) for _ in range(g.n)]), (None, cert), (None, near)]
             for keep, shift in views:
                 z = compute_zones(g, keep, shift)
-                assert z.reduced == is_reduced(g, z, keep, shift)
+                assert z.reduced == is_reduced(g, z, shift)
                 outcomes[z.reduced, shift is not None] += 1
         assert sum(outcomes.values()) >= 5000
         assert min(outcomes.values()) > 200, outcomes
 
     def test_sets_read_off_the_lists(self, g5):
         z = compute_zones(g5)
-        assert z.cls == [1, 0, 0, -1] and z.zn == [False, False, False, True]
+        assert z.cls == [1, 0, 0, -1] and z.side == [-1, -1, -1, 1]
         assert z.N == {3} and z.Z == {1, 2} and z.P == {0}
         assert z.ZN == {3} and z.ZP == {0, 1, 2}
