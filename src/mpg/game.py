@@ -187,7 +187,8 @@ def _parse_int(token: str, lineno: int, what: str) -> int:
 
 def _parse_uint(token: str, lineno: int, what: str) -> int:
     value = _parse_int(token, lineno, what)
-    if value < 0 or token.startswith("+"):
+    # Ids take no sign, so "-0" is as malformed as "+7".
+    if token.startswith(("+", "-")):
         raise ParseError(f"{what} must be a non-negative integer: {token!r}", lineno)
     return value
 

@@ -489,12 +489,15 @@ def solve_values(g: Game, cfg: SolverConfig | None = None) -> ValueResult:
     """Exact per-vertex values via threshold dichotomy on band subgames.
 
     Testing "value <= p/q" solves the WEAK threshold problem on the same
-    structure with weights q*w - p.  Every search group is a band: exactly
-    the vertices whose values lie in its bracket (lo, hi].  Each Max edge of
-    a band vertex leads to a value <= hi and each Min edge to a value > lo,
-    so both players' optimal moves stay inside and the band induces a
-    subgame with the same values.  Each probe therefore solves only
-    ``restrict(g, band)``, and values in a band of k vertices have
+    structure with weights q*w - p, and "value < p/q" the STRICT one.  Every
+    search group is a band: exactly the vertices whose values lie in some
+    interval, and that interval lies in the group's bracket (lo, hi].  An
+    optimal move keeps the value (a Max vertex's value is the largest of its
+    successors', a Min vertex's the smallest), so both players' optimal
+    positional strategies stay inside a band, and against either one the
+    other player gains nothing from the edges that leave it: the band
+    induces a subgame with the same values.  Each probe therefore solves
+    only ``restrict(g, band)``, and values in a band of k vertices have
     denominators <= k, so k replaces n as the bound below.
 
     After every probe, fixing the certificate's Min strategy on its Min
@@ -503,6 +506,26 @@ def solve_values(g: Game, cfg: SolverConfig | None = None) -> ValueResult:
     vertex whose tightest bounds meet is settled, and a band whose vertices
     are all settled is not probed again.  Settled vertices stay in their band
     so that it remains a subgame.
+
+    Such a bound is often already the value, so before each regular probe a
+    group first verifies one: it probes at the bound x that most of its
+    unsettled vertices share (``_shared_bound``), WEAK at x for a lower bound
+    and STRICT at x for an upper one.  WEAK gives every vertex of value <= x
+    an upper bound <= x from the new Min strategy, so each vertex whose
+    lower bound x was its value is settled by the rule above; STRICT dually
+    gives every vertex of value >= x a lower bound >= x.  The probe's two
+    regions cut the group's interval at x, so each part is again a band.
+    Its values still lie in the group's bracket, and its size is at most
+    the group's k, so each part goes on with the group's bracket and k:
+    both are over-approximations, which is all the search needs.  In
+    particular ``descend`` assigns c/d to a whole bracket (a/b, c/d] with
+    b + d > k because c/d is its only fraction of denominator <= k, and a
+    part's values have denominators <= its own size <= k.  A group verifies
+    at most once between two of its regular probes and a bound is tried at
+    most once per call, so the regular probes below stay the skeleton that
+    finds every value whatever the bounds are; a verification only cuts it
+    short where it confirms a bound.  Bounds with a denominator above the
+    band size, which no value in the band can have, are not tried.
 
     Vertices the bounds leave open go on through the search.  An integer
     bisection brackets each value in (c-1, c]; one STRICT solve of w - c then
@@ -566,35 +589,52 @@ def solve_values(g: Game, cfg: SolverConfig | None = None) -> ValueResult:
     def settled(verts: tuple) -> bool:
         return all(exact[v] is not None for v in verts)
 
-    # A search is (vertices, k, a, b, c, d, lo, hi, step): the k vertices'
-    # values lie in (x(lo), x(hi)] for positions of the chain of bracket
-    # (a/b, c/d] under denominator bound k, where position -K_L is a/b, 0 the
-    # mediant and K_R is c/d.  ``step`` is 0 to probe the mediant next, +s or
-    # -s to gallop right or left by s, and None to bisect.
+    # Bounds already verified; the starting bounds +-W come from no strategy.
+    tried = {((-w_bound, 1), ThresholdMode.WEAK), ((w_bound, 1), ThresholdMode.STRICT)}
+
+    def verify(verts: tuple):
+        """Probe at the bound ``_shared_bound`` picks; its two parts, or None."""
+        key = _shared_bound(verts, lower, upper, exact, tried)
+        if key is None:
+            return None
+        tried.add(key)
+        return split(verts, probe(verts, *key[0], key[1]))
+
+    # A search is (vertices, k, a, b, c, d, lo, hi, step, verified): the k
+    # vertices' values lie in (x(lo), x(hi)] for positions of the chain of
+    # bracket (a/b, c/d] under denominator bound k, where position -K_L is
+    # a/b, 0 the mediant and K_R is c/d.  ``step`` is 0 to probe the mediant
+    # next, +s or -s to gallop right or left by s, and None to bisect.
+    # ``verified`` is True once the group has verified since its last
+    # regular probe.
     searches = []
 
-    def descend(verts: tuple, a: int, b: int, c: int, d: int, top: int = 0) -> None:
+    def descend(verts: tuple, a: int, b: int, c: int, d: int, top=0, verified=False) -> None:
         """Search (a/b, c/d], leaving out the ``top`` highest chain positions."""
         k = len(verts)
         if b + d > k:
             for v in verts:
                 exact[v] = (c, d)
         else:
-            searches.append((verts, k, a, b, c, d, -((k - d) // b), (k - b) // d - top, 0))
+            lo, hi = -((k - d) // b), (k - b) // d - top
+            searches.append((verts, k, a, b, c, d, lo, hi, 0, verified))
 
     # Integer phase: smallest integer c with value <= c, per band.
-    groups = [(tuple(range(n)), -w_bound - 1, w_bound)]
+    groups = [(tuple(range(n)), -w_bound - 1, w_bound, False)]
     while groups:
-        verts, lo, hi = groups.pop()
+        verts, lo, hi, verified = groups.pop()
         if settled(verts):
+            continue
+        if not verified and (parts := verify(verts)):
+            groups += ((part, lo, hi, True) for part in parts if part)
             continue
         if hi - lo > 1:
             mid = (lo + hi) // 2
             left, right = split(verts, probe(verts, mid, 1, ThresholdMode.WEAK))
             if left:
-                groups.append((left, lo, mid))
+                groups.append((left, lo, mid, False))
             if right:
-                groups.append((right, mid, hi))
+                groups.append((right, mid, hi, False))
         else:
             # STRICT puts value-hi vertices on the Max side of w - hi.
             rest, top = split(verts, probe(verts, hi, 1, ThresholdMode.STRICT))
@@ -605,11 +645,15 @@ def solve_values(g: Game, cfg: SolverConfig | None = None) -> ValueResult:
                 # chain position just under hi.
                 descend(rest, lo, 1, hi, 1, top=1)
     while searches:
-        verts, k, a, b, c, d, lo, hi, step = searches.pop()
+        verts, k, a, b, c, d, lo, hi, step, verified = searches.pop()
         if settled(verts):
             continue
+        if not verified and (parts := verify(verts)):
+            searches += ((part, k, a, b, c, d, lo, hi, step, True) for part in parts if part)
+            continue
         if hi - lo == 1:
-            descend(verts, *_chain_at(a, b, c, d, k, lo), *_chain_at(a, b, c, d, k, hi))
+            ends = *_chain_at(a, b, c, d, k, lo), *_chain_at(a, b, c, d, k, hi)
+            descend(verts, *ends, verified=verified)
             continue
         # Probe position t; the side the gallop ran toward keeps galloping,
         # the side it overshot bisects.
@@ -623,13 +667,29 @@ def solve_values(g: Game, cfg: SolverConfig | None = None) -> ValueResult:
             t, lstep, rstep = 0, -1, 1
         left, right = split(verts, probe(verts, *_chain_at(a, b, c, d, k, t), ThresholdMode.WEAK))
         if left:
-            searches.append((left, k, a, b, c, d, lo, t, lstep))
+            searches.append((left, k, a, b, c, d, lo, t, lstep, False))
         if right:
-            searches.append((right, k, a, b, c, d, t, hi, rstep))
+            searches.append((right, k, a, b, c, d, t, hi, rstep, False))
     distinct: dict = {}
     return ValueResult(
         {v: distinct.setdefault(pq, Fraction(*pq)) for v, pq in enumerate(exact)}
     )
+
+
+def _shared_bound(verts: tuple, lower: list, upper: list, exact: list, tried: set):
+    """The one-sided bound most unsettled vertices of ``verts`` share, or None.
+
+    Returns ``((p, q), mode)``: WEAK for a lower bound, STRICT for an upper
+    one.  Bounds in ``tried`` and bounds whose denominator exceeds the band
+    size, which no value of the band can have, are left out.
+    """
+    shared: dict = {}
+    for v in verts:
+        if exact[v] is None:
+            for key in ((lower[v], ThresholdMode.WEAK), (upper[v], ThresholdMode.STRICT)):
+                if key[0][1] <= len(verts) and key not in tried:
+                    shared[key] = shared.get(key, 0) + 1
+    return max(shared, key=shared.get) if shared else None
 
 
 def _chain_at(a: int, b: int, c: int, d: int, n: int, t: int) -> tuple:

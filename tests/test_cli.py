@@ -89,6 +89,13 @@ class TestSolve:
             assert main(["solve", str(path)]) == 2
             assert "is not an integer" in capsys.readouterr().err
 
+    def test_signed_vertex_id(self, tmp_path, capsys):
+        path = tmp_path / "bad.mpg"
+        for text in ("mpg 1\nvertex -0 MIN\nedge 0 0 1\n", "mpg 1\nvertex 1 MIN\nedge 1 -0 -3\n"):
+            path.write_text(text)
+            assert main(["solve", str(path)]) == 2
+            assert "must be a non-negative integer: '-0'" in capsys.readouterr().err
+
     def test_unknown_flag_rejected(self, g3_file):
         with pytest.raises(SystemExit) as exc:
             main(["solve", g3_file, "--frobnicate"])
@@ -220,6 +227,12 @@ class TestCheck:
             ppath.write_bytes(text.encode("utf-8"))
             assert main(["check", g3_file, str(ppath)]) == 2
             assert "is not an integer" in capsys.readouterr().err
+
+    def test_signed_vertex_id(self, g3_file, tmp_path, capsys):
+        ppath = tmp_path / "phi.pot"
+        ppath.write_text("-0 5\n")
+        assert main(["check", g3_file, str(ppath)]) == 2
+        assert "must be a non-negative integer: '-0'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [[], ["--strict-threshold"]], ids=["weak", "strict"])
     def test_solve_then_check_round_trip(self, flags, tmp_path, capsys):

@@ -123,6 +123,23 @@ class TestParse:
         with pytest.raises(ParseError, match=re.escape("must be a non-negative integer: '+7'")):
             parse_game("mpg 1\nvertex +7 MIN\n")
 
+    @pytest.mark.parametrize(
+        "line, what, token",
+        [
+            ("vertex -0 MIN", "vertex id", "-0"),
+            ("vertex +0 MIN", "vertex id", "+0"),
+            ("vertex -00 MIN", "vertex id", "-00"),
+            ("edge -0 0 1", "edge source", "-0"),
+            ("edge 0 -0 1", "edge target", "-0"),
+            ("edge 0 +0 1", "edge target", "+0"),
+        ],
+    )
+    def test_ids_take_no_sign(self, line, what, token):
+        # int() reads "-0" as 0, which used to pass as vertex id 0.
+        message = f"line 3: {what} must be a non-negative integer: {token!r}"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_game(f"mpg 1\nvertex 0 MIN\n{line}\n")
+
     def test_comments_and_blank_lines(self):
         text = "# a comment\n\nmpg 1\n# another\nvertex 0 MIN\n\nedge 0 0 -1\n"
         assert parse_game(text) == parse_game(G1_TEXT)
@@ -377,6 +394,12 @@ class TestPotentialFiles:
     def test_only_ascii_digits_are_integers(self, g1, text, message):
         with pytest.raises(ParseError, match=re.escape(f"line 1: {message}")):
             parse_potential(text, g1)
+
+    @pytest.mark.parametrize("token", ["-0", "+0", "-00"])
+    def test_ids_take_no_sign(self, g1, token):
+        message = f"line 1: vertex id must be a non-negative integer: {token!r}"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_potential(f"{token} 3\n", g1)
 
     def test_uses_original_ids(self):
         g = parse_game("mpg 1\nvertex 7 MIN\nedge 7 7 -1\n")

@@ -36,7 +36,13 @@ from mpg import (
     verify_strategy,
 )
 from mpg.cli import main as cli_main
-from mpg.solver import _cycle_mean_bounds, _frame, _glue_delta_arrays, _hint_holds
+from mpg.solver import (
+    _cycle_mean_bounds,
+    _frame,
+    _glue_delta_arrays,
+    _hint_holds,
+    _shared_bound,
+)
 from conftest import G3_TEXT, G5_TEXT, small_corpus
 
 FULL = SolverConfig(assertions=AssertLevel.FULL)
@@ -53,6 +59,14 @@ def count_probes(monkeypatch) -> list:
 
     monkeypatch.setattr(solver_module, "solve_threshold", counted)
     return calls
+
+
+def values_games() -> list:
+    """The eight games of the benchmark's ``values`` workload (n 30 to 60)."""
+    return [
+        gen_random(GenParams(n=30 + 30 * i // 7, out_degree=(1, 3), weight_bound=20, seed=1 + i))
+        for i in range(8)
+    ]
 
 
 def no_zero_cycles(count, seed0, max_n=7, weight_bound=4):
@@ -329,21 +343,21 @@ class TestSolveValues:
     def test_band_bounds_settle_most_vertices(self, monkeypatch):
         # The eight games of the benchmark's values workload, then two n=60
         # games under the default config: 170 and 20 + 20 probes when every
-        # value walked its Stern-Brocot chain on the whole game.
+        # value walked its Stern-Brocot chain on the whole game, 43 and 4 + 7
+        # before bounds were verified.
         calls = count_probes(monkeypatch)
         cfg = SolverConfig(opt_init=True, opt_bulk=True, remember_potentials=True)
-        for i in range(8):
-            g = gen_random(GenParams(n=30 + 30 * i // 7, out_degree=(1, 3), weight_bound=20, seed=1 + i))
+        for g in values_games():
             solve_values(g, cfg)
-        assert len(calls) <= 60
+        assert len(calls) <= 34
         for seed in (1, 3):
             calls.clear()
             solve_values(gen_random(GenParams(n=60, out_degree=(1, 3), weight_bound=20, seed=seed)))
             assert len(calls) <= 10, seed
 
     def test_chain_search_settles_what_the_bounds_leave(self, monkeypatch):
-        # Games such as indices 38 and 62 keep vertices whose bounds never
-        # meet, so their values come from the galloping chain search.
+        # Some games keep vertices whose bounds never meet, so their values
+        # come from the galloping chain search.
         chain_calls = []
         real = solver_module._chain_at
 
@@ -353,7 +367,13 @@ class TestSolveValues:
 
         monkeypatch.setattr(solver_module, "_chain_at", counted)
         chained = 0
-        for g in small_corpus(120, seed0=18, max_n=9, model=Model.CYCLE_HEAVY):
+        # Verified bounds settle every game of the corpus before the chain
+        # search; these three keep a value that no bound reaches.
+        games = small_corpus(120, seed0=18, max_n=9, model=Model.CYCLE_HEAVY) + [
+            gen_random(GenParams(n=9, out_degree=(2, 4), weight_bound=1, model=model, seed=seed))
+            for model, seed in ((Model.CYCLE_HEAVY, 148), (Model.LAYERED, 36), (Model.UNIFORM, 265))
+        ]
+        for g in games:
             chain_calls.clear()
             assert solve_values(g).values == brute_force_solve(g).values
             chained += bool(chain_calls)
@@ -372,6 +392,62 @@ class TestSolveValues:
                 owners = [Player.MIN if v % 2 else Player.MAX for v in range(n)]
                 g = Game(owners, [(v, (v + 1) % n, total if v == 0 else 0) for v in range(n)])
                 assert solve_values(g).values == {v: Fraction(total, n) for v in range(n)}
+
+    @pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
+    def test_failed_verifications_keep_values_and_probes_bounded(self, model, monkeypatch):
+        # Bounds loosened to integers are still valid but rarely exact, so
+        # most verification probes settle nothing.  The values must not
+        # change, and each game takes at most twice the probes it takes
+        # without verification.  The loosened bounds can sit on the wrong
+        # side of a probe, so the side check is off.
+        real = solver_module._cycle_mean_bounds
+
+        def loosened(g, region, strategy, upper):
+            return [
+                (v, (-(-x // y) if upper else x // y, 1))
+                for v, (x, y) in real(g, region, strategy, upper)
+            ]
+
+        monkeypatch.setattr(solver_module, "_cycle_mean_bounds", loosened)
+        calls = count_probes(monkeypatch)
+        cfg = SolverConfig(assertions=AssertLevel.OFF)
+        games = small_corpus(120, seed0=18, max_n=9, model=model)
+
+        def probes_per_game() -> list:
+            counts = []
+            for g in games:
+                calls.clear()
+                assert solve_values(g, cfg).values == brute_force_solve(g).values
+                counts.append(len(calls))
+            return counts
+
+        verified = probes_per_game()
+        monkeypatch.setattr(solver_module, "_shared_bound", lambda *args: None)
+        unverified = probes_per_game()
+        assert all(x <= 2 * y for x, y in zip(verified, unverified))
+        # The loosened bounds leave verification something to fail at.
+        assert sum(verified) > sum(unverified)
+
+    def test_shared_bound_counts_only_what_a_probe_could_confirm(self):
+        weak, strict = ThresholdMode.WEAK, ThresholdMode.STRICT
+        # Vertices 2-4 are settled at 5; 1/6 has a denominator above the
+        # band's size.
+        verts = (0, 1, 2, 3, 4)
+        lower = [(1, 6), (1, 3)] + [(5, 1)] * 3
+        upper = [(2, 1), (2, 1)] + [(5, 1)] * 3
+        exact = [None, None] + [(5, 1)] * 3
+        assert _shared_bound(verts, lower, upper, exact, set()) == ((2, 1), strict)
+        assert _shared_bound(verts, lower, upper, exact, {((2, 1), strict)}) == ((1, 3), weak)
+        tried = {((2, 1), strict), ((1, 3), weak)}
+        assert _shared_bound(verts, lower, upper, exact, tried) is None
+
+    def test_full_assertions_on_values_games(self):
+        # FULL runs the side check on every bound of every probe, the
+        # verification probes included, plus the certificate checks.
+        opts = dict(opt_init=True, opt_bulk=True, remember_potentials=True)
+        for g in values_games():
+            want = solve_values(g, SolverConfig(**opts)).values
+            assert solve_values(g, SolverConfig(**opts, assertions=AssertLevel.FULL)).values == want
 
     @pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
     def test_one_player_bounds_match_cycle_mean_oracle(self, model):
