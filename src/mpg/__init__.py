@@ -8,7 +8,6 @@ from .game import (
     OverflowGuardError,
     ParseError,
     Player,
-    Potential,
     ThresholdMode,
     apply_potential,
     dual_game,

@@ -62,9 +62,6 @@ class ThresholdMode(enum.Enum):
     STRICT = "strict"
 
 
-#: A potential labels vertices with integers; missing vertices count as 0.
-Potential = dict
-
 class Game:
     """Sinkless weighted game graph with MIN/MAX vertex ownership.
 
@@ -90,8 +87,11 @@ class Game:
         edst: list[int] = []
         ew: list[int] = []
         for src, dst, w in edges:
-            if not (0 <= src < n and 0 <= dst < n):
-                raise GameError(f"edge endpoint out of range: ({src}, {dst})")
+            # ``type(x) is int`` also turns away bools, which the file format cannot hold.
+            if not (type(src) is type(dst) is int and 0 <= src < n and 0 <= dst < n):
+                raise GameError(f"edge endpoint out of range: ({src!r}, {dst!r})")
+            if not (type(w) is int and INT64_MIN <= w <= INT64_MAX):
+                raise GameError(f"edge weight is not a 64-bit signed integer: {w!r}")
             esrc.append(src)
             edst.append(dst)
             ew.append(w)
@@ -369,7 +369,7 @@ def restrict(g: Game, keep: Iterable[int], shift: Sequence[int] | None = None) -
     )
 
 
-def parse_potential(data: bytes | str, g: Game) -> Potential:
+def parse_potential(data: bytes | str, g: Game) -> dict[int, int]:
     """Parse ``<vertex-id> <int64>`` lines into a potential keyed by dense index."""
     text = data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data
     phi: dict[int, int] = {}

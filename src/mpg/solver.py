@@ -514,32 +514,34 @@ def solve_values(g: Game, cfg: SolverConfig | None = None) -> ValueResult:
     an upper bound <= x from the new Min strategy, so each vertex whose
     lower bound x was its value is settled by the rule above; STRICT dually
     gives every vertex of value >= x a lower bound >= x.  The probe's two
-    regions cut the group's interval at x, so each part is again a band.
-    Its values still lie in the group's bracket, and its size is at most
-    the group's k, so each part goes on with the group's bracket and k:
-    both are over-approximations, which is all the search needs.  In
-    particular ``descend`` assigns c/d to a whole bracket (a/b, c/d] with
-    b + d > k because c/d is its only fraction of denominator <= k, and a
-    part's values have denominators <= its own size <= k.  A group verifies
-    at most once between two of its regular probes and a bound is tried at
-    most once per call, so the regular probes below stay the skeleton that
-    finds every value whatever the bounds are; a verification only cuts it
-    short where it confirms a bound.  Bounds with a denominator above the
-    band size, which no value in the band can have, are not tried.
+    regions cut the group's interval at x, so each part is again a band, and
+    its values still lie in the group's bracket: the part goes on with that
+    bracket, an over-approximation, which is all the search needs.  Being a
+    band, it has values with denominators <= its own size, so it needs
+    nothing else from the group.  A group verifies at most once between two
+    of its regular probes and a bound is tried at most once per call, so the
+    regular probes below stay the skeleton that finds every value whatever
+    the bounds are; a verification only cuts it short where it confirms a
+    bound.  Bounds with a denominator above the band size, which no value in
+    the band can have, are not tried.
 
-    Vertices the bounds leave open go on through the search.  An integer
-    bisection brackets each value in (c-1, c]; one STRICT solve of w - c then
-    settles every vertex whose value is exactly c.  The rest descend the
-    Stern-Brocot tree.  Inside a bracket (a/b, c/d] of Farey neighbours, the
-    next-level fractions with denominator <= k form one sorted chain
+    Vertices the bounds leave open go on through the search.  A group of k
+    vertices with bracket (lo, hi] takes one regular probe by the first rule
+    that fits:
 
-        (k*a+c)/(k*b+d) for k = K_L..2,  (a+c)/(b+d),  (a+k*c)/(b+k*d) for k = 2..K_R,
+    * wider than 1 (the ends are then integers): WEAK at the integer
+      (lo + hi) // 2 splits it in two;
+    * width 1: one STRICT solve of w - hi settles every vertex whose value
+      is exactly hi.  The rest, k' of them, have values below hi with
+      denominators <= k', so at most hi - 1/k', their new upper end;
+    * otherwise: x = ((lo + hi) / 2).limit_denominator(k) is the fraction of
+      denominator <= k nearest the midpoint.  Any such fraction strictly
+      inside (lo, hi) is nearer the midpoint than lo or hi, so x is inside
+      if one is.  Then WEAK at x splits the bracket into (lo, x] and
+      (x, hi]; if not, every value of the group is hi.
 
-    whose consecutive members are again Farey neighbours.  Each vertex's link
-    in the chain is found by galloping out from the mediant (steps of 1, 2,
-    4, ...) and then bisecting, so a run of k mediants costs O(log k) probes
-    instead of k.  A link whose own mediant has denominator > k contains one
-    fraction of denominator <= k, its upper end, which is the value.
+    Each probe leaves every part a bracket with fewer fractions of
+    denominator <= n than its group's, so the search ends.
     """
     cfg = cfg or SolverConfig()
     n = g.n
@@ -600,27 +602,10 @@ def solve_values(g: Game, cfg: SolverConfig | None = None) -> ValueResult:
         tried.add(key)
         return split(verts, probe(verts, *key[0], key[1]))
 
-    # A search is (vertices, k, a, b, c, d, lo, hi, step, verified): the k
-    # vertices' values lie in (x(lo), x(hi)] for positions of the chain of
-    # bracket (a/b, c/d] under denominator bound k, where position -K_L is
-    # a/b, 0 the mediant and K_R is c/d.  ``step`` is 0 to probe the mediant
-    # next, +s or -s to gallop right or left by s, and None to bisect.
-    # ``verified`` is True once the group has verified since its last
-    # regular probe.
-    searches = []
-
-    def descend(verts: tuple, a: int, b: int, c: int, d: int, top=0, verified=False) -> None:
-        """Search (a/b, c/d], leaving out the ``top`` highest chain positions."""
-        k = len(verts)
-        if b + d > k:
-            for v in verts:
-                exact[v] = (c, d)
-        else:
-            lo, hi = -((k - d) // b), (k - b) // d - top
-            searches.append((verts, k, a, b, c, d, lo, hi, 0, verified))
-
-    # Integer phase: smallest integer c with value <= c, per band.
-    groups = [(tuple(range(n)), -w_bound - 1, w_bound, False)]
+    # A group is (vertices, lo, hi, verified): the values lie in (lo, hi],
+    # and ``verified`` is True once the group has verified since its last
+    # regular probe.  Brackets wider than 1 have integer ends.
+    groups = [(tuple(range(n)), Fraction(-w_bound - 1), Fraction(w_bound), False)]
     while groups:
         verts, lo, hi, verified = groups.pop()
         if settled(verts):
@@ -629,47 +614,27 @@ def solve_values(g: Game, cfg: SolverConfig | None = None) -> ValueResult:
             groups += ((part, lo, hi, True) for part in parts if part)
             continue
         if hi - lo > 1:
-            mid = (lo + hi) // 2
-            left, right = split(verts, probe(verts, mid, 1, ThresholdMode.WEAK))
-            if left:
-                groups.append((left, lo, mid, False))
-            if right:
-                groups.append((right, mid, hi, False))
-        else:
+            x = Fraction((lo + hi) // 2)
+        elif hi - lo == 1:
             # STRICT puts value-hi vertices on the Max side of w - hi.
-            rest, top = split(verts, probe(verts, hi, 1, ThresholdMode.STRICT))
+            rest, top = split(verts, probe(verts, *hi.as_integer_ratio(), ThresholdMode.STRICT))
             for v in top:
-                exact[v] = (hi, 1)
+                exact[v] = hi.as_integer_ratio()
             if rest:
-                # Below hi with denominator <= k means at most hi - 1/k, the
-                # chain position just under hi.
-                descend(rest, lo, 1, hi, 1, top=1)
-    while searches:
-        verts, k, a, b, c, d, lo, hi, step, verified = searches.pop()
-        if settled(verts):
+                # Below hi with denominator <= k means at most hi - 1/k.
+                groups.append((rest, lo, hi - Fraction(1, len(rest)), False))
             continue
-        if not verified and (parts := verify(verts)):
-            searches += ((part, k, a, b, c, d, lo, hi, step, True) for part in parts if part)
-            continue
-        if hi - lo == 1:
-            ends = *_chain_at(a, b, c, d, k, lo), *_chain_at(a, b, c, d, k, hi)
-            descend(verts, *ends, verified=verified)
-            continue
-        # Probe position t; the side the gallop ran toward keeps galloping,
-        # the side it overshot bisects.
-        if step is None:
-            t, lstep, rstep = (lo + hi) // 2, None, None
-        elif step > 0:
-            t, lstep, rstep = min(lo + step, hi - 1), None, 2 * step
-        elif step < 0:
-            t, lstep, rstep = max(hi + step, lo + 1), 2 * step, None
         else:
-            t, lstep, rstep = 0, -1, 1
-        left, right = split(verts, probe(verts, *_chain_at(a, b, c, d, k, t), ThresholdMode.WEAK))
+            x = ((lo + hi) / 2).limit_denominator(len(verts))
+            if not lo < x < hi:
+                for v in verts:
+                    exact[v] = hi.as_integer_ratio()
+                continue
+        left, right = split(verts, probe(verts, *x.as_integer_ratio(), ThresholdMode.WEAK))
         if left:
-            searches.append((left, k, a, b, c, d, lo, t, lstep, False))
+            groups.append((left, lo, x, False))
         if right:
-            searches.append((right, k, a, b, c, d, t, hi, rstep, False))
+            groups.append((right, x, hi, False))
     distinct: dict = {}
     return ValueResult(
         {v: distinct.setdefault(pq, Fraction(*pq)) for v, pq in enumerate(exact)}
@@ -690,19 +655,6 @@ def _shared_bound(verts: tuple, lower: list, upper: list, exact: list, tried: se
                 if key[0][1] <= len(verts) and key not in tried:
                     shared[key] = shared.get(key, 0) + 1
     return max(shared, key=shared.get) if shared else None
-
-
-def _chain_at(a: int, b: int, c: int, d: int, n: int, t: int) -> tuple:
-    """Numerator and denominator at position ``t`` of the chain of (a/b, c/d].
-
-    Position 0 is the mediant, -k+1 is (k*a+c)/(k*b+d) and k-1 is
-    (a+k*c)/(b+k*d); one step past the last denominator <= n on either side
-    is the bracket's end, a/b or c/d.
-    """
-    k = 1 + abs(t)
-    if t <= 0:
-        return (a, b) if k * b + d > n else (k * a + c, k * b + d)
-    return (c, d) if b + k * d > n else (a + k * c, b + k * d)
 
 
 def _cycle_mean_bounds(g: Game, region: frozenset, strategy: dict, upper: bool) -> list:

@@ -307,6 +307,13 @@ class TestGen:
         assert main(["gen", "--n", "8", "--model", "layered", "--seed", "1"]) == 0
         parse_game(capsys.readouterr().out)
 
+    def test_weights_beyond_64_bits_are_an_input_error(self, tmp_path, capsys):
+        out = tmp_path / "game.mpg"
+        argv = ["gen", "--n", "3", "--weight-bound", str(2**70), "-o", str(out)]
+        assert main(argv) == 2
+        assert "64-bit" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDiff:
     def test_small_sweep_agrees(self, capsys):

@@ -368,6 +368,21 @@ class TestGameBasics:
         with pytest.raises(GameError, match="out of range"):
             Game([Player.MIN], [(0, 3, 1)])
 
+    @pytest.mark.parametrize("src", [True, 0.0, "0"])
+    def test_construction_rejects_non_integer_endpoint(self, src):
+        with pytest.raises(GameError, match="endpoint"):
+            Game([Player.MIN], [(src, 0, 1)])
+
+    @pytest.mark.parametrize("w", [True, 0.5, 2.0, 2**63, -(2**63) - 1, 2**70])
+    def test_construction_rejects_what_the_file_format_cannot_hold(self, w):
+        with pytest.raises(GameError, match="64-bit"):
+            Game([Player.MIN], [(0, 0, w)])
+
+    def test_construction_accepts_the_64_bit_range(self):
+        for w in (2**63 - 1, -(2**63)):
+            g = Game([Player.MIN], [(0, 0, w)])
+            assert parse_game(serialize_game(g)) == g
+
 
 class TestPotentialFiles:
     def test_round_trip(self, g5):

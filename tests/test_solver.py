@@ -306,8 +306,8 @@ class TestSolveValues:
 
     def test_longest_mediant_runs(self, monkeypatch):
         # One n-cycle of total weight t has value t/n at every vertex; the
-        # totals +-1 and +-(n-1) sit at the far end of the left or right run
-        # of their integer bracket.
+        # totals +-1 and +-(n-1) sit next to the ends of their integer
+        # bracket.
         calls = count_probes(monkeypatch)
         for n in range(2, 41):
             for total in (1, n - 1, -1, -(n - 1)):
@@ -316,7 +316,8 @@ class TestSolveValues:
                 calls.clear()
                 assert solve_values(g).values == {v: Fraction(total, n) for v in range(n)}
                 # Integer bisection over (-W-1, W], one STRICT probe, then a
-                # gallop and a bisection over a chain of fewer than n fractions.
+                # bisection between fractions of denominator <= n, which lie
+                # more than 1/n**2 apart.
                 assert len(calls) <= 3 * n.bit_length() + 2, (n, total, len(calls))
 
     def test_integer_values_take_logarithmically_many_probes(self, monkeypatch):
@@ -355,35 +356,69 @@ class TestSolveValues:
             solve_values(gen_random(GenParams(n=60, out_degree=(1, 3), weight_bound=20, seed=seed)))
             assert len(calls) <= 10, seed
 
-    def test_chain_search_settles_what_the_bounds_leave(self, monkeypatch):
+    def test_values_probe_sequence_is_pinned(self, monkeypatch):
+        # The size, weight bound and mode of every threshold solve on the
+        # benchmark's values games, in order.
+        calls = []
+        real = solver_module.solve_threshold
+
+        def recorded(game, cfg=None, **kwargs):
+            calls.append((game.n, game.W, cfg.threshold_mode.value))
+            return real(game, cfg, **kwargs)
+
+        monkeypatch.setattr(solver_module, "solve_threshold", recorded)
+        cfg = SolverConfig(opt_init=True, opt_bulk=True, remember_potentials=True)
+        for g in values_games():
+            solve_values(g, cfg)
+        assert len(calls) == 32
+        assert hashlib.sha256(repr(calls).encode()).hexdigest()[:16] == "8e74566954c493ff"
+
+    def test_search_alone_probes_within_its_bound(self, monkeypatch):
+        # Without bounds an n-cycle of total t takes the integer bisection
+        # over (-W-1, W], one STRICT probe and a bisection down to the value
+        # among fractions of denominator <= n.
+        monkeypatch.setattr(solver_module, "_cycle_mean_bounds", lambda *args: [])
+        calls = count_probes(monkeypatch)
+        for n in range(2, 33):
+            owners = [Player.MIN if v % 2 else Player.MAX for v in range(n)]
+            for total in range(-(n + 1), n + 2):
+                g = Game(owners, [(v, (v + 1) % n, total if v == 0 else 0) for v in range(n)])
+                calls.clear()
+                assert solve_values(g).values == {v: Fraction(total, n) for v in range(n)}
+                bound = (2 * g.W + 2).bit_length() + 2 * n.bit_length() + 1
+                assert len(calls) <= bound, (n, total, len(calls))
+
+    def test_fraction_search_settles_what_the_bounds_leave(self, monkeypatch):
         # Some games keep vertices whose bounds never meet, so their values
-        # come from the galloping chain search.
-        chain_calls = []
-        real = solver_module._chain_at
+        # come from the search inside brackets narrower than 1, which reads
+        # each probe off ``Fraction.limit_denominator``.
+        fraction_calls = []
+        real = Fraction.limit_denominator
 
-        def counted(*args):
-            chain_calls.append(args)
-            return real(*args)
+        def counted(self, *args):
+            fraction_calls.append(args)
+            return real(self, *args)
 
-        monkeypatch.setattr(solver_module, "_chain_at", counted)
-        chained = 0
-        # Verified bounds settle every game of the corpus before the chain
+        monkeypatch.setattr(Fraction, "limit_denominator", counted)
+        searched = 0
+        # Verified bounds settle every game of the corpus before the fraction
         # search; these three keep a value that no bound reaches.
         games = small_corpus(120, seed0=18, max_n=9, model=Model.CYCLE_HEAVY) + [
             gen_random(GenParams(n=9, out_degree=(2, 4), weight_bound=1, model=model, seed=seed))
             for model, seed in ((Model.CYCLE_HEAVY, 148), (Model.LAYERED, 36), (Model.UNIFORM, 265))
         ]
         for g in games:
-            chain_calls.clear()
+            fraction_calls.clear()
             assert solve_values(g).values == brute_force_solve(g).values
-            chained += bool(chain_calls)
-        assert chained >= 1
+            searched += bool(fraction_calls)
+        assert searched >= 1
 
     @pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
     def test_search_alone_matches_cycle_mean_oracle(self, model, monkeypatch):
         # Without bounds every value comes from the bisection, the STRICT
-        # probes and the chain search on band subgames, down to the links
-        # whose only fraction of small enough denominator is the value.
+        # probes and the fraction search on band subgames, down to the
+        # brackets whose only fraction of small enough denominator is the
+        # value.
         monkeypatch.setattr(solver_module, "_cycle_mean_bounds", lambda *args: [])
         for g in small_corpus(80, seed0=24, max_n=9, model=model):
             assert solve_values(g).values == brute_force_solve(g).values
