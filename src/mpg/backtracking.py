@@ -102,9 +102,11 @@ def _attract_max_core(g: Game, in_t: list, phi_t: Sequence) -> tuple:
                 pending[v] = True
                 queue.append(v)
         else:
-            if any(in_t[edst[e]] for e in out[v]):
-                pending[v] = True
-                queue.append(v)
+            for e in out[v]:
+                if in_t[edst[e]]:
+                    pending[v] = True
+                    queue.append(v)
+                    break
     while queue:
         v = queue.popleft()
         if in_a[v]:
@@ -119,9 +121,12 @@ def _attract_max_core(g: Game, in_t: list, phi_t: Sequence) -> tuple:
             phi[v] = best
         else:
             # Witness must predate v's own membership, else a self-loop
-            # could pose as the edge that reaches the target.
-            witness = min(e for e in out[v] if in_a[edst[e]])
-            phi[v] = ew[witness] + phi[edst[witness]]
+            # could pose as the edge that reaches the target.  Out-lists
+            # ascend, so the first such edge is the lowest.
+            for e in out[v]:
+                if in_a[edst[e]]:
+                    phi[v] = ew[e] + phi[edst[e]]
+                    break
         in_a[v] = True
         for e in inc[v]:
             u = esrc[e]
@@ -158,7 +163,11 @@ def safe_init(g: Game, cls: Sequence[int], player: Player) -> list:
     cnt = [0] * n
     for v in range(n):
         if not cls[v] and owners[v] is player:
-            cnt[v] = sum(1 for e in out[v] if ew[e] == 0)
+            c = 0
+            for e in out[v]:
+                if not ew[e]:
+                    c += 1
+            cnt[v] = c
     # A vertex is marked unsafe when it is queued.
     unsafe = [c == -protected for c in cls]
     queue = deque(v for v in range(n) if unsafe[v])

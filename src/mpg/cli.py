@@ -156,7 +156,10 @@ def cmd_solve(args) -> int:
     g = _load_game(args.game)
     res = solve_threshold(g, _config_from_args(args))
     if args.json:
-        _print_json(_result_json(g, res))
+        doc = _result_json(g, res)
+        # json.dumps builds every chunk at once; the game need not be held meanwhile.
+        del g, res
+        _print_json(doc)
     else:
         print(f"min_region: {_orig_sorted(g, res.min_region)}")
         print(f"max_region: {_orig_sorted(g, res.max_region)}")

@@ -65,11 +65,11 @@ class ThresholdMode(enum.Enum):
 class Game:
     """Sinkless weighted game graph with MIN/MAX vertex ownership.
 
-    Instances are immutable after construction and safe to share between
-    concurrent readers.  ``esrc``/``edst``/``eweight`` hold the edge list as
-    parallel tuples indexed by edge id; ``out``/``inc`` give per-vertex edge-id
-    adjacency.  ``W`` is the maximum absolute weight, computed from the
-    weights on first use.
+    ``esrc``/``edst``/``eweight`` hold the edge list as tuples indexed by edge
+    id.  ``out``/``inc`` list each vertex's edge ids, ascending: ``out``
+    entries are lists in a built or parsed game and ranges in a ``restrict``
+    subgame.  Games made from one another share these lists, so no reader
+    may change them.  ``W``, the maximum absolute weight, is computed on use.
     """
 
     def __init__(
@@ -95,11 +95,7 @@ class Game:
             esrc.append(src)
             edst.append(dst)
             ew.append(w)
-        out: list[list[int]] = [[] for _ in range(n)]
-        inc: list[list[int]] = [[] for _ in range(n)]
-        for e in range(len(esrc)):
-            out[esrc[e]].append(e)
-            inc[edst[e]].append(e)
+        out, inc = _adjacency(n, esrc, edst)
         for v in range(n):
             if not out[v]:
                 raise GameError(f"sink vertex {v}")
@@ -109,6 +105,9 @@ class Game:
             orig_ids = tuple(orig_ids)
             if len(orig_ids) != n:
                 raise GameError("orig_ids length does not match vertex count")
+            for x in orig_ids:
+                if not (type(x) is int and x >= 0):
+                    raise GameError(f"vertex id must be a non-negative integer: {x!r}")
             if len(set(orig_ids)) != n:
                 raise GameError("orig_ids must be unique")
         self.n = n
@@ -118,12 +117,12 @@ class Game:
         self.esrc = tuple(esrc)
         self.edst = tuple(edst)
         self.eweight = tuple(ew)
-        self.out = tuple(tuple(x) for x in out)
-        self.inc = tuple(tuple(x) for x in inc)
+        self.out = out
+        self.inc = inc
 
     @classmethod
     def _raw(cls, owners, esrc, edst, eweight, out, inc, orig_ids) -> Game:
-        """Trusted constructor from finished tuples, which it does not validate."""
+        """Trusted constructor from finished arrays in the class's layout, unchecked."""
         g = cls.__new__(cls)
         g.n = len(owners)
         g.m = len(esrc)
@@ -149,30 +148,18 @@ class Game:
             self.out, self.inc, self.orig_ids,
         )
 
-    @cached_property
-    def index_of_original(self) -> dict[int, int]:
-        return {orig: i for i, orig in enumerate(self.orig_ids)}
-
-    @cached_property
-    def _canonical(self):
-        # Identity in original-id space: dense numbering order is irrelevant.
-        verts = tuple(sorted((self.orig_ids[v], self.owners[v].value) for v in range(self.n)))
-        edges = tuple(sorted(
-            (self.orig_ids[self.esrc[e]], self.orig_ids[self.edst[e]], self.eweight[e])
-            for e in range(self.m)
-        ))
-        return (verts, edges)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Game):
-            return NotImplemented
-        return self._canonical == other._canonical
-
-    def __hash__(self) -> int:
-        return hash(self._canonical)
-
     def __repr__(self) -> str:
         return f"Game(n={self.n}, m={self.m}, W={self.W})"
+
+
+def _adjacency(n: int, esrc: Sequence[int], edst: Sequence[int]) -> tuple[list, list]:
+    """Per-vertex ``out`` and ``inc`` edge-id lists, ascending, sharing each id object."""
+    out: list[list[int]] = [[] for _ in range(n)]
+    inc: list[list[int]] = [[] for _ in range(n)]
+    for e, v in enumerate(esrc):
+        out[v].append(e)
+        inc[edst[e]].append(e)
+    return out, inc
 
 
 def _parse_int(token: str, lineno: int, what: str) -> int:
@@ -211,68 +198,71 @@ def parse_game(data: bytes | str) -> Game:
     text = data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data
     owners: list[Player] = []
     orig_ids: list[int] = []
-    index_of: dict[int, int] = {}
+    # Dense index by an id's canonical token, which an edge line may use as is.
+    index_of: dict[str, int] = {}
     esrc: list[int] = []
     edst: list[int] = []
     ew: list[int] = []
-    out: list[list[int]] = []
-    inc: list[list[int]] = []
     saw_header = False
-    last_line = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        last_line = lineno
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        fields = raw.split()
+        if not fields:
             continue
-        fields = line.split()
-        if not saw_header:
+        head = fields[0]
+        if head == "edge" and saw_header:
+            if len(fields) != 4:
+                raise ParseError("expected 'edge <src> <dst> <weight>'", lineno)
+            # Declared ids and an ASCII weight without "_", which int() reads
+            # only as a sign and digits, are taken inline; any other line is
+            # read token by token, which raises the error of its first bad one.
+            _, s, d, w = fields
+            v, u = index_of.get(s), index_of.get(d)
+            try:
+                weight = int(w) if w.isascii() and "_" not in w else None
+            except ValueError:
+                weight = None
+            if v is None or u is None or weight is None or not INT64_MIN <= weight <= INT64_MAX:
+                src = _parse_uint(s, lineno, "edge source")
+                dst = _parse_uint(d, lineno, "edge target")
+                weight = _parse_int64(w, lineno, "edge weight")
+                v, u = index_of.get(str(src)), index_of.get(str(dst))
+                for x, i in ((src, v), (dst, u)):
+                    if i is None:
+                        raise ParseError(f"dangling edge endpoint {x}", lineno)
+            esrc.append(v)
+            edst.append(u)
+            ew.append(weight)
+        elif head.startswith("#"):
+            continue
+        elif not saw_header:
             if fields != ["mpg", "1"]:
                 raise ParseError("expected header 'mpg 1'", lineno)
             saw_header = True
-            continue
-        if fields[0] == "vertex":
+        elif head == "vertex":
             if esrc:
                 raise ParseError("vertex declaration after edges", lineno)
             if len(fields) != 3:
                 raise ParseError("expected 'vertex <id> <MIN|MAX>'", lineno)
             vid = _parse_uint(fields[1], lineno, "vertex id")
-            if vid in index_of:
+            if str(vid) in index_of:
                 raise ParseError(f"duplicate vertex {vid}", lineno)
             try:
                 owner = Player[fields[2]]
             except KeyError:
                 raise ParseError(f"unknown owner {fields[2]!r}", lineno) from None
-            index_of[vid] = len(owners)
+            index_of[str(vid)] = len(owners)
             owners.append(owner)
             orig_ids.append(vid)
-            out.append([])
-            inc.append([])
-        elif fields[0] == "edge":
-            if len(fields) != 4:
-                raise ParseError("expected 'edge <src> <dst> <weight>'", lineno)
-            src = _parse_uint(fields[1], lineno, "edge source")
-            dst = _parse_uint(fields[2], lineno, "edge target")
-            weight = _parse_int64(fields[3], lineno, "edge weight")
-            if src not in index_of:
-                raise ParseError(f"dangling edge endpoint {src}", lineno)
-            if dst not in index_of:
-                raise ParseError(f"dangling edge endpoint {dst}", lineno)
-            v, d = index_of[src], index_of[dst]
-            out[v].append(len(esrc))
-            inc[d].append(len(esrc))
-            esrc.append(v)
-            edst.append(d)
-            ew.append(weight)
         else:
-            raise ParseError(f"unknown directive {fields[0]!r}", lineno)
+            raise ParseError(f"unknown directive {head!r}", lineno)
     if not saw_header:
-        raise ParseError("expected header 'mpg 1'", max(last_line, 1))
+        raise ParseError("expected header 'mpg 1'", max(len(text.splitlines()), 1))
+    out, inc = _adjacency(len(owners), esrc, edst)
     for v, edges in enumerate(out):
         if not edges:
             raise ParseError(f"sink vertex {orig_ids[v]}")
     return Game._raw(
-        tuple(owners), tuple(esrc), tuple(edst), tuple(ew),
-        tuple(map(tuple, out)), tuple(map(tuple, inc)), tuple(orig_ids),
+        tuple(owners), tuple(esrc), tuple(edst), tuple(ew), out, inc, tuple(orig_ids)
     )
 
 
@@ -339,33 +329,33 @@ def restrict(g: Game, keep: Iterable[int], shift: Sequence[int] | None = None) -
         if not (0 <= v < n):
             raise GameError(f"vertex {v} out of range")
         pos[v] = i
-    g_out, edst, ew = g.out, g.edst, g.eweight
-    esrc: list[int] = []
-    sdst: list[int] = []
-    sw: list[int] = []
-    out: list[tuple[int, ...]] = []
+    g_out, edst, ew, gsrc = g.out, g.edst, g.eweight, g.esrc
+    esrc, sdst, picked, out = [], [], [], []
     inc: list[list[int]] = [[] for _ in kept]
     m = 0
     for i, v in enumerate(kept):
         first = m
-        sv = 0 if shift is None else shift[v]
         for e in g_out[v]:
-            d = edst[e]
-            j = pos[d]
+            j = pos[edst[e]]
             if j >= 0:
                 inc[j].append(m)
                 sdst.append(j)
-                sw.append(ew[e] if shift is None else ew[e] + shift[d] - sv)
+                picked.append(e)
                 m += 1
         if m == first:
             raise NotASubgameError(
                 f"not a subgame: vertex {g.orig_ids[v]} is a sink in restriction"
             )
         esrc += [i] * (m - first)
-        out.append(tuple(range(first, m)))
+        out.append(range(first, m))
+    # Weights are read once the kept edges are known: no edge tests the shift.
+    if shift is None:
+        sw = tuple(map(ew.__getitem__, picked))
+    else:
+        sw = tuple([ew[e] + shift[edst[e]] - shift[gsrc[e]] for e in picked])
     return Game._raw(
-        tuple(g.owners[v] for v in kept), tuple(esrc), tuple(sdst), tuple(sw),
-        tuple(out), tuple(map(tuple, inc)), tuple(g.orig_ids[v] for v in kept),
+        tuple([g.owners[v] for v in kept]), tuple(esrc), tuple(sdst), sw,
+        out, inc, tuple([g.orig_ids[v] for v in kept]),
     )
 
 
@@ -373,6 +363,7 @@ def parse_potential(data: bytes | str, g: Game) -> dict[int, int]:
     """Parse ``<vertex-id> <int64>`` lines into a potential keyed by dense index."""
     text = data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data
     phi: dict[int, int] = {}
+    index_of = {orig: i for i, orig in enumerate(g.orig_ids)}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -382,7 +373,7 @@ def parse_potential(data: bytes | str, g: Game) -> dict[int, int]:
             raise ParseError("expected '<vertex-id> <value>'", lineno)
         vid = _parse_uint(fields[0], lineno, "vertex id")
         value = _parse_int64(fields[1], lineno, "potential value")
-        idx = g.index_of_original.get(vid)
+        idx = index_of.get(vid)
         if idx is None:
             raise ParseError(f"unknown vertex {vid}", lineno)
         if idx in phi:

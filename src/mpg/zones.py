@@ -88,26 +88,37 @@ def compute_zones(
     sh = [0] * n if shift is None else shift
     owners, out, inc, ew, edst, esrc = g.owners, g.out, g.inc, g.eweight, g.edst, g.esrc
     cls = [0] * n
-    # Zero-edge escape counters for Max vertices whose best weight is zero.
+    # Zero-edge counters of the Z vertices; the closure reads only Max ones.
     esc = [0] * n
     mx = Player.MAX
     for v in verts:
-        # Each kept edge's shifted weight plus sv: it weighs zero iff it equals sv.
+        # The class is the sign of the best kept edge's shifted weight, read
+        # negated for Min (``sg``): an edge above zero settles it at once.
         sv = sh[v]
-        ws = [ew[e] + sh[d] for e in out[v] if side[d := edst[e]]]
-        if not ws:
-            raise NotASubgameError(
-                f"not a subgame: vertex {g.orig_ids[v]} is a sink in restriction"
-            )
-        is_max = owners[v] is mx
-        best = max(ws) if is_max else min(ws)
-        if best < sv:
-            cls[v] = -1
+        sg = 1 if owners[v] is mx else -1
+        inside = False
+        zeros = 0
+        for e in out[v]:
+            d = edst[e]
+            if side[d]:
+                x = ew[e] + sh[d] - sv
+                if x * sg > 0:
+                    break
+                inside = True
+                if not x:
+                    zeros += 1
+        else:
+            if not inside:
+                raise NotASubgameError(
+                    f"not a subgame: vertex {g.orig_ids[v]} is a sink in restriction"
+                )
+            if zeros:
+                esc[v] = zeros
+                continue
+            sg = -sg
+        cls[v] = sg
+        if sg < 0:
             side[v] = 1
-        elif best > sv:
-            cls[v] = 1
-        elif is_max:
-            esc[v] = ws.count(sv)
     # A vertex is marked in ``side`` when it is pushed; the least fixpoint
     # does not depend on the order of the pops.
     stack = [v for v in verts if side[v] > 0]
@@ -129,9 +140,10 @@ def compute_zones(
         s = side[v]
         if (owners[v] is mx) is (s > 0):
             # Max in ZN or Min in ZP: no successor may be on the other side.
-            if -s in [side[edst[e]] for e in out[v]]:
-                reduced = False
-                break
+            for e in out[v]:
+                if side[edst[e]] == -s:
+                    reduced = False
+                    break
         elif cls[v] == -s:
             # Min in N or Max in P: one edge on its side of zero into its side.
             sv = sh[v]
@@ -141,7 +153,8 @@ def compute_zones(
                     break
             else:
                 reduced = False
-                break
+        if not reduced:
+            break
     return Zones(cls, side, reduced)
 
 
@@ -180,14 +193,23 @@ def reduced_at(
     out, ew, edst, owners = g.out, g.eweight, g.edst, g.owners
     is_min = Player.MIN
     for v in verts:
-        # Per edge inside the view: does it stay in v's zone, on its side of zero?
+        # A good edge stays in v's zone on its side of zero.  The side's own
+        # player needs one; the other needs all edges inside the view good.
         sv = sh[v]
-        if side[v] > 0:
-            good = [side[d] > 0 and ew[e] + sh[d] <= sv for e in out[v] if side[d := edst[e]]]
-            ok = any(good) if owners[v] is is_min else all(good)
-        else:
-            good = [side[d] < 0 and ew[e] + sh[d] >= sv for e in out[v] if side[d := edst[e]]]
-            ok = all(good) if owners[v] is is_min else any(good)
-        if not ok or not good:
+        s = 1 if side[v] > 0 else -1
+        one = (owners[v] is is_min) is (s > 0)
+        inside = good = False
+        for e in out[v]:
+            d = edst[e]
+            t = side[d]
+            if t:
+                inside = True
+                if t == s and s * (sv - ew[e] - sh[d]) >= 0:
+                    good = True
+                    if one:
+                        break
+                elif not one:
+                    return False
+        if not (good if one else inside):
             return False
     return True

@@ -216,6 +216,17 @@ def sample_closed_walk(g: Game, rng: Rng) -> ClosedWalk:
         seen[v] = len(edges)
 
 
+def canonical(g: Game) -> tuple:
+    """A game's identity in original-id space: its vertices with their owners
+    and its edge multiset, both sorted, so dense numbering and edge order do
+    not matter."""
+    verts = sorted((g.orig_ids[v], g.owners[v].value) for v in range(g.n))
+    edges = sorted(
+        (g.orig_ids[g.esrc[e]], g.orig_ids[g.edst[e]], g.eweight[e]) for e in range(g.m)
+    )
+    return tuple(verts), tuple(edges)
+
+
 def edge_list(g: Game) -> list:
     """The edges as ``(src, dst, weight)`` tuples, indexed by edge id."""
     return list(zip(g.esrc, g.edst, g.eweight))

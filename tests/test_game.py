@@ -31,6 +31,7 @@ from conftest import (
     G1_TEXT,
     G3_TEXT,
     ClosedWalk,
+    canonical,
     cycle_weight,
     edge_list,
     is_trap,
@@ -140,9 +141,40 @@ class TestParse:
         with pytest.raises(ParseError, match=re.escape(message)):
             parse_game(f"mpg 1\nvertex 0 MIN\n{line}\n")
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("edge 0 0 +", "edge weight is not an integer: '+'"),
+            ("edge 0 0 -", "edge weight is not an integer: '-'"),
+            ("edge 0 0 --5", "edge weight is not an integer: '--5'"),
+            ("edge 0 0 +-5", "edge weight is not an integer: '+-5'"),
+            # Several bad tokens: the source is reported first, and a dangling
+            # id only once all three tokens parse.
+            ("edge x -1 1_0", "edge source is not an integer: 'x'"),
+            ("edge -1 x 1_0", "edge source must be a non-negative integer: '-1'"),
+            ("edge 9 x 1_0", "edge target is not an integer: 'x'"),
+            ("edge 9 8 1_0", "edge weight is not an integer: '1_0'"),
+            ("edge 9 8 -9223372036854775809", "edge weight out of 64-bit signed range"),
+            ("edge 9 8 7", "dangling edge endpoint 9"),
+            ("edge 0 8 7", "dangling edge endpoint 8"),
+        ],
+    )
+    def test_malformed_edge_line(self, line, message):
+        with pytest.raises(ParseError, match=re.escape(f"line 3: {message}")):
+            parse_game(f"mpg 1\nvertex 0 MIN\n{line}\n")
+
+    def test_edge_tokens_read_as_integers(self):
+        # Leading zeros and signed weights read as their values.
+        g = parse_game(
+            "mpg 1\nvertex 0 MIN\nvertex 01 MAX\nedge 00 1 -0\nedge 0001 0 +9223372036854775807\n"
+        )
+        assert edge_list(g) == [(0, 1, 0), (1, 0, 2**63 - 1)]
+        g = parse_game("mpg 1\nvertex 0 MIN\nedge 0 0 -9223372036854775808\n")
+        assert g.eweight == (-(2**63),)
+
     def test_comments_and_blank_lines(self):
         text = "# a comment\n\nmpg 1\n# another\nvertex 0 MIN\n\nedge 0 0 -1\n"
-        assert parse_game(text) == parse_game(G1_TEXT)
+        assert canonical(parse_game(text)) == canonical(parse_game(G1_TEXT))
 
     def test_sparse_ids_reindexed_in_declaration_order(self):
         text = "mpg 1\nvertex 9 MIN\nvertex 2 MAX\nedge 9 2 1\nedge 2 9 -1\n"
@@ -167,7 +199,7 @@ class TestSerialize:
     def test_round_trip_identity_on_generated_corpus(self):
         for i, g in enumerate(small_corpus(1000, seed0=100)):
             again = parse_game(serialize_game(g))
-            assert again == g, f"round trip failed for corpus game {i}"
+            assert canonical(again) == canonical(g), f"round trip failed for corpus game {i}"
 
     def test_serialization_injective_on_corpus(self):
         by_bytes = {}
@@ -177,14 +209,14 @@ class TestSerialize:
         for data, collided in by_bytes.items():
             first = collided[0]
             for other in collided[1:]:
-                assert other == first, "distinct games serialized identically"
-        distinct = len({g for g in games_list})
+                assert canonical(other) == canonical(first), "distinct games serialized identically"
+        distinct = len({canonical(g) for g in games_list})
         assert len(by_bytes) == distinct
 
     @settings(max_examples=60, deadline=None)
     @given(games())
     def test_round_trip_property(self, g):
-        assert parse_game(serialize_game(g)) == g
+        assert canonical(parse_game(serialize_game(g))) == canonical(g)
 
 
 class TestPreprocess:
@@ -236,7 +268,7 @@ class TestApplyPotential:
         assert out.eweight == (0, -1)
 
     def test_zero_potential_is_identity(self, g5):
-        assert apply_potential(g5, {}) == g5
+        assert canonical(apply_potential(g5, {})) == canonical(g5)
 
     def test_self_loop_unchanged(self, g1):
         out = apply_potential(g1, {0: 12345})
@@ -248,8 +280,8 @@ class TestApplyPotential:
             phi1 = {v: rng.randint(-5, 5) for v in range(g.n)}
             phi2 = {v: rng.randint(-5, 5) for v in range(g.n)}
             combined = {v: phi1[v] + phi2[v] for v in range(g.n)}
-            assert apply_potential(apply_potential(g, phi1), phi2) == apply_potential(
-                g, combined
+            assert canonical(apply_potential(apply_potential(g, phi1), phi2)) == canonical(
+                apply_potential(g, combined)
             )
 
     def test_cycle_weight_invariance_sampled(self):
@@ -280,7 +312,7 @@ class TestRestrict:
         assert sub.orig_ids == (0,)
 
     def test_full_restriction_is_identity(self, g5):
-        assert restrict(g5, range(g5.n)) == g5
+        assert canonical(restrict(g5, range(g5.n))) == canonical(g5)
 
     def test_out_of_range_rejected(self, g5):
         for bad in (-1, g5.n):
@@ -303,7 +335,11 @@ class TestRestrict:
                 want = Game([g.owners[v] for v in keep], edges, [g.orig_ids[v] for v in keep])
                 got = restrict(g, keep, shift)
                 for attr in ("owners", "orig_ids", "esrc", "edst", "eweight", "out", "inc", "W"):
-                    assert getattr(got, attr) == getattr(want, attr)
+                    # A subgame's out entries are ranges where Game() builds lists.
+                    x, y = getattr(got, attr), getattr(want, attr)
+                    if attr in ("out", "inc"):
+                        x, y = [tuple(e) for e in x], [tuple(e) for e in y]
+                    assert x == y
 
 
 class TestIsTrap:
@@ -349,16 +385,28 @@ class TestGameBasics:
     def test_equality_ignores_edge_order(self):
         a = Game([Player.MIN], [(0, 0, 1), (0, 0, 2)])
         b = Game([Player.MIN], [(0, 0, 2), (0, 0, 1)])
-        assert a == b and hash(a) == hash(b)
+        assert canonical(a) == canonical(b) and hash(canonical(a)) == hash(canonical(b))
 
     def test_equality_respects_original_ids(self):
         a = parse_game("mpg 1\nvertex 0 MIN\nedge 0 0 1\n")
         b = parse_game("mpg 1\nvertex 1 MIN\nedge 1 1 1\n")
-        assert a != b
+        assert canonical(a) != canonical(b)
 
     def test_dual_is_involution(self):
         for g in small_corpus(50, seed0=21):
-            assert dual_game(dual_game(g)) == g
+            assert canonical(dual_game(dual_game(g))) == canonical(g)
+
+    def test_one_layout_for_every_game(self, g5):
+        # Edge arrays are tuples; out/inc are lists of ascending edge ids,
+        # whose out entries are lists at the root and ranges in a subgame.
+        root = (g5, Game(g5.owners, edge_list(g5), g5.orig_ids), g5.with_weights(g5.eweight))
+        sub = restrict(g5, range(g5.n), [1, 2, 3, 4])
+        for g, entry in [*((x, list) for x in root), (dual_game(g5), list), (sub, range)]:
+            for attr in ("owners", "orig_ids", "esrc", "edst", "eweight"):
+                assert type(getattr(g, attr)) is tuple
+            assert type(g.out) is type(g.inc) is list
+            assert all(type(x) is entry for x in g.out) and all(type(x) is list for x in g.inc)
+            assert all(list(x) == sorted(x) for x in (*g.out, *g.inc))
 
     def test_construction_rejects_sink(self):
         with pytest.raises(GameError, match="sink"):
@@ -378,10 +426,31 @@ class TestGameBasics:
         with pytest.raises(GameError, match="64-bit"):
             Game([Player.MIN], [(0, 0, w)])
 
+    @pytest.mark.parametrize("ids", [[-1], ["a"], [True]])
+    def test_construction_rejects_ids_the_file_format_cannot_hold(self, ids):
+        with pytest.raises(GameError, match="vertex id must be a non-negative integer"):
+            Game([Player.MIN], [(0, 0, 1)], orig_ids=ids)
+
+    def test_every_game_built_round_trips_through_its_file(self):
+        # Game() builds exactly when the ids are distinct non-bool ints >= 0,
+        # and then its file parses back to the same game.
+        candidates = [0, 1, 7, 2**70, -1, -(2**70), True, False, "a", "1", 1.0, None]
+        built = 0
+        for a in candidates:
+            for b in candidates:
+                try:
+                    g = Game([Player.MIN, Player.MAX], [(0, 1, 1), (1, 0, -1)], orig_ids=[a, b])
+                except GameError:
+                    assert not (type(a) is type(b) is int and 0 <= a != b >= 0)
+                    continue
+                built += 1
+                assert canonical(parse_game(serialize_game(g))) == canonical(g)
+        assert built == 12
+
     def test_construction_accepts_the_64_bit_range(self):
         for w in (2**63 - 1, -(2**63)):
             g = Game([Player.MIN], [(0, 0, w)])
-            assert parse_game(serialize_game(g)) == g
+            assert canonical(parse_game(serialize_game(g))) == canonical(g)
 
 
 class TestPotentialFiles:

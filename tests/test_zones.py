@@ -19,6 +19,7 @@ from mpg import (
     restrict,
     serialize_game,
 )
+from mpg.zones import reduced_at
 from conftest import naive_zone_fixpoint, reduced_per_vertex, small_corpus, subgame_views
 
 
@@ -131,6 +132,47 @@ class TestIsReduced:
                 hits += 1
                 assert z.ZN == brute_force_solve(g).min_region
         assert hits > 10  # the corpus exercises the reduced path
+
+
+class TestReducedAt:
+    """``reduced_at``'s rule at vertex 0; vertices 1 and 2 only loop."""
+
+    @staticmethod
+    def game(owner, edges):
+        loops = [(1, 1, 0), (2, 2, 0)]
+        return Game([owner, Player.MIN, Player.MAX], [*((0, d, w) for d, w in edges), *loops])
+
+    @pytest.mark.parametrize("owner", list(Player))
+    @pytest.mark.parametrize("s", [1, -1])
+    def test_no_edge_inside_the_view_is_never_reduced(self, owner, s):
+        # Weight -s is on side s's side of zero, so the edge into 1 is good.
+        g = self.game(owner, [(1, -s), (2, -s)])
+        assert not reduced_at(g, [s, 0, 0], [0])
+        assert reduced_at(g, [s, s, 0], [0])
+
+    @pytest.mark.parametrize("s", [1, -1])
+    def test_chooser_needs_one_good_edge_the_other_needs_all(self, s):
+        # On the ZN side (s = 1) Min needs one good edge and Max all of them;
+        # on the ZP side (s = -1) the players swap.
+        chooser, other = (Player.MIN, Player.MAX) if s > 0 else (Player.MAX, Player.MIN)
+        side = [s, s, -s]
+        good, zero, wrong_sign, wrong_side = (1, -s), (1, 0), (1, s), (2, -s)
+        cases = {
+            (good,): (True, True),
+            (zero,): (True, True),
+            (good, zero): (True, True),
+            (good, wrong_sign): (True, False),
+            (wrong_side, good): (True, False),
+            (wrong_sign,): (False, False),
+            (wrong_sign, wrong_side): (False, False),
+        }
+        for edges, (for_chooser, for_other) in cases.items():
+            assert reduced_at(self.game(chooser, edges), side, [0]) is for_chooser, edges
+            assert reduced_at(self.game(other, edges), side, [0]) is for_other, edges
+        # The shift moves the good edge to the wrong side of zero.
+        g = self.game(chooser, [good])
+        assert reduced_at(g, side, [0], [0, 0, 0])
+        assert not reduced_at(g, side, [0], [0, 2 * s, 0])
 
 
 class TestViews:
