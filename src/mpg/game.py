@@ -46,10 +46,6 @@ class Player(enum.Enum):
     MIN = "MIN"
     MAX = "MAX"
 
-    @property
-    def opponent(self) -> Player:
-        return Player.MAX if self is Player.MIN else Player.MIN
-
 
 class ThresholdMode(enum.Enum):
     """Which side mean-zero cycles are pushed to by zero-cycle removal.
@@ -308,9 +304,12 @@ def apply_potential(g: Game, phi: Mapping[int, int]) -> Game:
     )
 
 
+_OPPONENT = {Player.MIN: Player.MAX, Player.MAX: Player.MIN}
+
+
 def dual_game(g: Game) -> Game:
     """Swap ownership and negate weights; an involution exchanging the players."""
-    owners = tuple(o.opponent for o in g.owners)
+    owners = tuple(map(_OPPONENT.__getitem__, g.owners))
     weights = tuple(-w for w in g.eweight)
     return Game._raw(owners, g.esrc, g.edst, weights, g.out, g.inc, g.orig_ids)
 

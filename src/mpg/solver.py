@@ -33,6 +33,7 @@ from .game import (
     NotASubgameError,
     Player,
     ThresholdMode,
+    apply_potential,
     dual_game,
     preprocess_no_zero_cycles,
     restrict,
@@ -435,11 +436,7 @@ def derive_strategies(g: Game, res: SolveResult) -> SolveResult:
     relabeled game is reduced); Max dually.  Ties break on the lowest
     (src, dst, weight) triple, then edge id.
     """
-    phi = res.potential
-    mod = [
-        g.eweight[e] + phi.get(g.edst[e], 0) - phi.get(g.esrc[e], 0)
-        for e in range(g.m)
-    ]
+    mod = apply_potential(g, res.potential).eweight
 
     def pick(region: frozenset, owner: Player, keep_nonpositive: bool) -> dict:
         strat = {}
@@ -667,12 +664,24 @@ def _cycle_mean_bounds(g: Game, region: frozenset, strategy: dict, upper: bool) 
     (Min) of any cycle reachable from the vertex, which bounds its value.
     Returns ``[(v, (numerator, denominator))]``, reduced, denominator > 0.
 
-    Weights are negated for Min, so the work is always a maximum.  Each
-    strongly connected component's own maximum mean comes from Karp's
-    formula: with D_i(x) the heaviest walk of exactly i edges from a fixed
-    member to x, it is the max over x of the min over i < k of
-    (D_k(x) - D_i(x)) / (k - i).  D_k is computed first and the rows again
-    after, so memory stays O(k).  Means are compared by cross-multiplying.
+    Weights are negated for Min, so the work is always a maximum, found by
+    Howard's policy iteration in integers.  A policy picks one successor per
+    vertex; following it, each vertex enters a cycle.  Its gain is that
+    cycle's reduced mean p/q, and its bias, kept as q * bias, is 0 at the
+    cycle's lowest vertex and q*w - p plus the successor's along the policy.
+    A round moves each vertex to a successor of strictly larger gain or, if
+    there is none, of equal gain (so of the same q) where q*w - p + bias
+    strictly exceeds its own bias.  Gains never fall along the new policy, so
+    a cycle it closes has one gain and, summing, a mean at least that, above
+    it if the cycle holds a move.  Hence each vertex keeps or raises its
+    gain, at equal gain its bias, strictly if a move lies on its path, and
+    no policy comes back.  When none moves, no edge leads to a larger gain or
+    raises a bias, so around any reachable cycle the gain is one p/q, and
+    summing q*w - p <= bias(v) - bias(u) over its edges (v, u) puts its mean
+    at most p/q, while the gain is itself the mean of a reachable cycle.  A
+    round costs O(n + m), but no polynomial bound on the number of rounds is
+    known (Hansen & Zwick, 2010, give Omega(n^2) rounds), whereas Karp's
+    formula took a guaranteed Theta(k*m) per component.
     """
     verts = sorted(region)
     index = {v: i for i, v in enumerate(verts)}
@@ -685,86 +694,38 @@ def _cycle_mean_bounds(g: Game, region: frozenset, strategy: dict, upper: bool) 
         except KeyError:
             raise SolverInternalError(f"vertex {v} can leave its region") from None
     size = len(verts)
-    # Tarjan's algorithm, iteratively.  A component is complete only after
-    # every component it reaches, so ``components`` lists successors first.
-    order = [-1] * size
-    low = [0] * size
-    comp = [-1] * size
-    stack: list = []
-    components: list = []
-    seen = 0
-    for root in range(size):
-        if order[root] >= 0:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, j = work.pop()
-            if j == 0:
-                order[v] = low[v] = seen
-                seen += 1
-                stack.append(v)
-            edges = succ[v]
-            while j < len(edges):
-                u = edges[j][0]
-                j += 1
-                if order[u] < 0:
-                    work += ((v, j), (u, 0))
-                    break
-                if comp[u] < 0:
-                    low[v] = min(low[v], order[u])
-            else:
-                if low[v] == order[v]:
-                    members = []
-                    while not members or members[-1] != v:
-                        members.append(stack.pop())
-                        comp[members[-1]] = len(components)
-                    components.append(members)
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[v])
-
-    def extend(inner: list, row: list) -> list:
-        """Heaviest walks one edge longer than those of ``row``."""
-        nxt = [None] * len(row)
-        for x, dist in enumerate(row):
-            if dist is not None:
-                for y, w in inner[x]:
-                    if nxt[y] is None or dist + w > nxt[y]:
-                        nxt[y] = dist + w
-        return nxt
-
-    best: list = []  # per component: the largest mean reachable from it
-    for cid, members in enumerate(components):
-        k = len(members)
-        pos = {v: i for i, v in enumerate(members)}
-        inner = [[(pos[u], w) for u, w in succ[v] if comp[u] == cid] for v in members]
-        top = None
-        for v in members:
-            for u, _ in succ[v]:
-                if comp[u] != cid:
-                    x, y = best[comp[u]]
-                    if top is None or x * top[1] > top[0] * y:
-                        top = (x, y)
-        if any(inner):
-            row = [0] + [None] * (k - 1)
-            last = row
-            for _ in range(k):
-                last = extend(inner, last)
-            worst: list = [None] * k
-            for i in range(k):
-                for x in range(k):
-                    if last[x] is not None and row[x] is not None:
-                        num, den = last[x] - row[x], k - i
-                        if worst[x] is None or num * worst[x][1] < worst[x][0] * den:
-                            worst[x] = (num, den)
-                row = extend(inner, row)
-            for mean in worst:
-                if mean is not None and (top is None or mean[0] * top[1] > top[0] * mean[1]):
-                    top = mean
-        best.append(top)
-    out = []
-    for i, v in enumerate(verts):
-        x, y = best[comp[i]]
-        r = gcd(x, y)
-        out.append((v, (sign * x // r, y // r)))
-    return out
+    policy = [max(edges, key=lambda edge: edge[1]) for edges in succ]
+    while True:
+        # Per vertex: its gain, its bias and its position on the current walk.
+        gain, bias, at = [None] * size, [0] * size, [-1] * size
+        for root in range(size):
+            walk, v = [], root
+            while gain[v] is None and at[v] < 0:
+                at[v] = len(walk)
+                walk.append(v)
+                v = policy[v][0]
+            if gain[v] is None:  # the walk closed a cycle at v
+                cycle = walk[at[v]:]
+                total = sum(policy[u][1] for u in cycle)
+                r = gcd(total, len(cycle))
+                low = cycle.index(min(cycle))
+                gain[cycle[low]] = (total // r, len(cycle) // r)
+                walk[at[v]:] = cycle[low + 1:] + cycle[:low]  # in order after the lowest
+            for u in reversed(walk):
+                x, w = policy[u]
+                p, q = gain[u] = gain[x]
+                bias[u] = q * w - p + bias[x]
+        before = policy[:]
+        for v, edges in enumerate(succ):
+            p, q = own = top = gain[v]
+            best, choice = bias[v], None
+            for u, w in edges:
+                x, y = gain[u]
+                if x * top[1] > top[0] * y:
+                    top, choice = gain[u], (u, w)
+                elif top is own and gain[u] == own and q * w - p + bias[u] > best:
+                    best, choice = q * w - p + bias[u], (u, w)
+            if choice is not None:
+                policy[v] = choice
+        if policy == before:
+            return [(v, (sign * p, q)) for v, (p, q) in zip(verts, gain)]

@@ -506,6 +506,105 @@ class TestSolveValues:
                 assert dict(bounds) == {v: (x.numerator, x.denominator) for v, x in want.items()}
 
 
+def karp_from(succ: list, s: int) -> Fraction:
+    """Largest cycle mean reachable from ``s``; ``succ[v]`` lists ``(u, w)``.
+
+    Karp's formula over walks from s: with D_k(x) the heaviest walk of exactly
+    k edges from s to x and N the vertex count, the answer is the max over x
+    of the min over k < N of (D_N(x) - D_k(x)) / (N - k).
+    """
+    n = len(succ)
+    rows = [{s: 0}]
+    for _ in range(n):
+        row: dict = {}
+        for x, d in rows[-1].items():
+            for y, w in succ[x]:
+                if y not in row or d + w > row[y]:
+                    row[y] = d + w
+        rows.append(row)
+    return max(
+        min(Fraction(dn - rows[k][x], n - k) for k in range(n) if x in rows[k])
+        for x, dn in rows[n].items()
+    )
+
+
+class TestCycleMeanBounds:
+    """``_cycle_mean_bounds`` against references that share none of its code."""
+
+    @staticmethod
+    def bounds_and_succ(owners: list, edges: list, fixed: Player):
+        """Bounds with ``fixed`` held to its first edge, and the graph they use."""
+        g = Game(owners, edges)
+        strategy = {v: g.out[v][0] for v in range(g.n) if owners[v] is fixed}
+        upper = fixed is Player.MIN
+        bounds = _cycle_mean_bounds(g, frozenset(range(g.n)), strategy, upper)
+        sign = 1 if upper else -1
+        succ = [
+            [(g.edst[e], sign * g.eweight[e]) for e in ([strategy[v]] if v in strategy else g.out[v])]
+            for v in range(g.n)
+        ]
+        return bounds, succ, sign
+
+    def test_matches_per_source_karp(self):
+        rng = random.Random(19)
+        for k in range(320):
+            n, w_bound = rng.randint(2, 21), (0, 1, 3, 1000)[k % 4]
+            owners = [rng.choice(list(Player)) for _ in range(n)]
+            edges = [
+                (v, v if rng.random() < 0.1 else rng.randrange(n), rng.randint(-w_bound, w_bound))
+                for v in range(n)
+                for _ in range(rng.randint(1, 3))
+            ]
+            # Two cycles of one mean p/q, of lengths q and 2q, both entered from
+            # one hub: equal gains whose biases are scaled by the reduced q.
+            p, q = rng.choice([(1, 2), (-1, 2), (2, 3), (0, 1), (3, 1)])
+            hub = rng.randrange(n)
+            for length in (q, 2 * q):
+                first = len(owners)
+                owners += [rng.choice(list(Player)) for _ in range(length)]
+                edges += [
+                    (first + i, first + (i + 1) % length, p * length // q if i == 0 else 0)
+                    for i in range(length)
+                ]
+                edges.append((hub, first, rng.randint(-w_bound, w_bound)))
+            for fixed in Player:
+                bounds, succ, sign = self.bounds_and_succ(owners, edges, fixed)
+                for v, got in bounds:
+                    want = sign * karp_from(succ, v)
+                    assert got == (want.numerator, want.denominator), (k, fixed, v)
+
+    def test_planted_dag_into_cycles(self):
+        # 1,200 DAG vertices of the free player feed five disjoint cycles of
+        # the fixed one; a vertex's bound is the best mean among the cycles
+        # it reaches, read backwards over the DAG.
+        rng = random.Random(3)
+        cycles = [(3, 7), (-2, 5), (1, 2), (2, 4), (-9, 3)]  # (total, length)
+        for fixed in Player:
+            free = Player.MAX if fixed is Player.MIN else Player.MIN
+            pick = max if free is Player.MAX else min
+            owners, edges, entries = [], [], []
+            for total, length in cycles:
+                first = len(owners)
+                owners += [fixed] * length
+                edges += [
+                    (first + i, first + (i + 1) % length, total if i == 0 else 0)
+                    for i in range(length)
+                ]
+                entries += [(first + i, Fraction(total, length)) for i in range(length)]
+            first, size = len(owners), 1200
+            owners += [free] * size
+            want = {v: mean for v, mean in entries}
+            for v in reversed(range(first, first + size)):
+                targets = rng.sample(range(v + 1, first + size), min(3, first + size - 1 - v))
+                if not targets or rng.random() < 0.05:
+                    targets.append(rng.choice(entries)[0])
+                edges += [(v, u, rng.randint(-10**6, 10**6)) for u in targets]
+                want[v] = pick(want[u] for u in targets)
+            bounds, _, _ = self.bounds_and_succ(owners, edges, fixed)
+            assert dict(bounds) == {v: (x.numerator, x.denominator) for v, x in want.items()}
+            assert len({want[v] for v in range(first, first + size)}) > 2
+
+
 class TestDeriveStrategies:
     def test_min_strategy_example(self, g3):
         res = reduce_game(g3, FULL)
