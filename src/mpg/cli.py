@@ -16,7 +16,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import astuple, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -45,7 +45,7 @@ from .zones import compute_zones, is_reduced
 
 _POLICIES = {p.value: p for p in Policy}
 _MODELS = {m.value: m for m in Model}
-_ASSERT_LEVELS = {"off": AssertLevel.OFF, "cheap": AssertLevel.CHEAP, "full": AssertLevel.FULL}
+_ASSERT_LEVELS = {level.name.lower(): level for level in AssertLevel}
 
 #: Every (opt_init, opt_bulk, remember_potentials) combination.
 _OPT_COMBOS = [(i, b, r) for i in (False, True) for b in (False, True) for r in (False, True)]
@@ -61,12 +61,14 @@ def _add_config_flags(
     sub: argparse.ArgumentParser, *, policy: bool = True, switches: tuple = ()
 ) -> None:
     """Solver configuration flags; ``switches`` are more store-true flags put
-    before ``--assert``.  Without ``policy`` the caller declares its own."""
+    before ``--assert``.  Without ``policy`` the caller declares its own.  A
+    flag that is not given stores nothing: ``_config_from_args`` fills it in."""
+    unset = argparse.SUPPRESS
     if policy:
-        sub.add_argument("--policy", choices=sorted(_POLICIES), default=Policy.SMALLER_ZONE.value)
+        sub.add_argument("--policy", choices=sorted(_POLICIES), default=unset)
     for flag in ("--opt-init", "--opt-bulk", "--remember-potentials", *switches):
-        sub.add_argument(flag, action="store_true")
-    sub.add_argument("--assert", dest="assert_level", choices=sorted(_ASSERT_LEVELS), default="cheap")
+        sub.add_argument(flag, action="store_true", default=unset)
+    sub.add_argument("--assert", dest="assert_level", choices=sorted(_ASSERT_LEVELS), default=unset)
 
 
 def _add_gen_flags(sub: argparse.ArgumentParser) -> None:
@@ -81,19 +83,20 @@ def _add_gen_flags(sub: argparse.ArgumentParser) -> None:
 def _config_from_args(args) -> SolverConfig:
     """The one place a SolverConfig is built from parsed arguments.
 
-    A flag the subcommand does not have takes the SolverConfig default; the
+    A flag absent from the command line takes the SolverConfig default; the
     MPG_ASSERT environment variable overrides ``--assert``.
     """
+    default = SolverConfig()
     flag = vars(args).get
-    level = os.environ.get("MPG_ASSERT", flag("assert_level", "cheap")).lower()
+    level = os.environ.get("MPG_ASSERT", flag("assert_level", default.assertions.name)).lower()
     if level not in _ASSERT_LEVELS:
         raise GameError(f"unknown assertion level {level!r}")
     return SolverConfig(
-        policy=_POLICIES[flag("policy", Policy.SMALLER_ZONE.value)],
-        opt_init=flag("opt_init", False),
-        opt_bulk=flag("opt_bulk", False),
-        remember_potentials=flag("remember_potentials", False),
-        threshold_mode=ThresholdMode.STRICT if flag("strict_threshold") else ThresholdMode.WEAK,
+        policy=_POLICIES[flag("policy", default.policy.value)],
+        opt_init=flag("opt_init", default.opt_init),
+        opt_bulk=flag("opt_bulk", default.opt_bulk),
+        remember_potentials=flag("remember_potentials", default.remember_potentials),
+        threshold_mode=ThresholdMode.STRICT if flag("strict_threshold") else default.threshold_mode,
         assertions=_ASSERT_LEVELS[level],
     )
 
@@ -277,7 +280,7 @@ def cmd_bench(args) -> int:
     base = _config_from_args(args)
     instances = _bench_instances(args)
     policies = [_POLICIES[p] for p in args.policies] if args.policies else [base.policy]
-    if args.sweep_opts:
+    if vars(args).get("sweep_opts"):
         opt_combos = _OPT_COMBOS
     else:
         opt_combos = [(base.opt_init, base.opt_bulk, base.remember_potentials)]
@@ -288,14 +291,11 @@ def cmd_bench(args) -> int:
             start = time.perf_counter_ns()
             res = solve_threshold(game, cfg)
             wall_us = (time.perf_counter_ns() - start) // 1000
-            s = res.stats
             rows.append(
                 [
                     name, game.n, game.m, game.W, cfg.policy.value,
                     int(cfg.opt_init), int(cfg.opt_bulk), int(cfg.remember_potentials),
-                    wall_us, s.recursive_calls, s.loop_iterations, s.escapes_fixed,
-                    s.bulk_fixed, s.attractor_calls, s.potential_reductions,
-                    s.max_depth, _result_hash(game, res),
+                    wall_us, *astuple(res.stats), _result_hash(game, res),
                 ]
             )
     with open(args.csv, "w", newline="") as handle:

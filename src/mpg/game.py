@@ -106,30 +106,26 @@ class Game:
                     raise GameError(f"vertex id must be a non-negative integer: {x!r}")
             if len(set(orig_ids)) != n:
                 raise GameError("orig_ids must be unique")
-        self.n = n
-        self.m = len(esrc)
-        self.owners = owners
-        self.orig_ids = orig_ids
-        self.esrc = tuple(esrc)
-        self.edst = tuple(edst)
-        self.eweight = tuple(ew)
-        self.out = out
-        self.inc = inc
+        self._assign(owners, tuple(esrc), tuple(edst), tuple(ew), out, inc, orig_ids)
 
     @classmethod
     def _raw(cls, owners, esrc, edst, eweight, out, inc, orig_ids) -> Game:
         """Trusted constructor from finished arrays in the class's layout, unchecked."""
         g = cls.__new__(cls)
-        g.n = len(owners)
-        g.m = len(esrc)
-        g.owners = owners
-        g.orig_ids = orig_ids
-        g.esrc = esrc
-        g.edst = edst
-        g.eweight = eweight
-        g.out = out
-        g.inc = inc
+        g._assign(owners, esrc, edst, eweight, out, inc, orig_ids)
         return g
+
+    def _assign(self, owners, esrc, edst, eweight, out, inc, orig_ids) -> None:
+        """Set every field; the one place both constructors do so."""
+        self.n = len(owners)
+        self.m = len(esrc)
+        self.owners = owners
+        self.orig_ids = orig_ids
+        self.esrc = esrc
+        self.edst = edst
+        self.eweight = eweight
+        self.out = out
+        self.inc = inc
 
     @cached_property
     def W(self) -> int:

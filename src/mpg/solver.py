@@ -139,12 +139,12 @@ def _choose_sup(g: Game, cls: list, cfg: SolverConfig) -> bool:
     return cls.count(-1) <= cls.count(1)
 
 
-def _assert_certificate(g: Game, keep, shift, mn: list) -> None:
-    """Raise unless the view (g, keep, shift) is reduced with ZN marked by ``mn``."""
+def _assert_certificate(g: Game, keep, shift, sides: list) -> None:
+    """Raise unless the view (g, keep, shift) is reduced with zones ``sides``."""
     z = compute_zones(g, keep, shift)
     if not is_reduced(g, z, shift):
         raise SolverInternalError("certificate check failed: game not reduced")
-    if [s > 0 for s in z.side if s] != mn:
+    if [s for s in z.side if s] != sides:
         raise SolverInternalError("certificate check failed: regions mismatch zones")
 
 
@@ -171,9 +171,9 @@ def _sup_loop(gl, cls, cfg, stats, depth, hook):
     whose zone classes are ``cls``.
 
     Yields child views to solve (see ``_frame``), each answered by the
-    child's ``(mn, phi)``; returns either ``(None, values)`` when every
+    child's ``(sides, phi)``; returns either ``(None, values)`` when every
     vertex got a finite peak value (caller relabels and restarts) or
-    ``((mn, phi), None)`` when an attractor ended the call.
+    ``((sides, phi), None)`` when an attractor ended the call.
 
     Each remainder is the previous one minus the vertices fixed by the
     escape and added by backtracking.  When the previous answer certifies
@@ -228,14 +228,14 @@ def _sup_loop(gl, cls, cfg, stats, depth, hook):
         shift = pred_phi if cfg.remember_potentials and guard > 1 else None
         for v in gone:
             sides[v] = 0
-        mn_rest, phi_rest = yield gl, rest, shift, (sides, gone) if carried else None
+        sides_rest, phi_rest = yield gl, rest, shift, (sides, gone) if carried else None
         for x, pv in zip(phi_rest, rest):
             pred_phi[pv] = x if shift is None else pred_phi[pv] + x
         carried = cfg.remember_potentials or not any(phi_rest)
-        for v, won in zip(rest, mn_rest):
-            sides[v] = 1 if won else -1
-        plus = not all(mn_rest)
-        side = [v for v, won in zip(rest, mn_rest) if not won] if plus else rest
+        for v, s in zip(rest, sides_rest):
+            sides[v] = s
+        plus = -1 in sides_rest
+        side = [v for v, s in zip(rest, sides_rest) if s < 0] if plus else rest
         owner, sign = (Player.MIN, 1) if plus else (Player.MAX, -1)
         best = None
         ties = []
@@ -280,14 +280,14 @@ def _sup_loop(gl, cls, cfg, stats, depth, hook):
             in_t[v] = True
         in_a, phi_a = _attract_max_core(gl, in_t, pred_phi)
         keep = [v for v in range(n) if not in_a[v]]
-        mn_keep, phi_keep = (yield gl, keep, None, None) if keep else ([], [])
+        sides_keep, phi_keep = (yield gl, keep, None, None) if keep else ([], [])
         delta = _glue_delta_arrays(gl, in_a, phi_a, keep, phi_keep)
-        mn = [False] * n
+        sides = [-1] * n
         phi = [phi_a[v] + delta if in_a[v] else 0 for v in range(n)]
-        for pv, won, x in zip(keep, mn_keep, phi_keep):
-            mn[pv] = won
+        for pv, s, x in zip(keep, sides_keep, phi_keep):
+            sides[pv] = s
             phi[pv] = x
-        return (mn, phi), None
+        return (sides, phi), None
 
 
 def _glue_delta_arrays(gl, in_a, phi_a, keep, phi_keep) -> int:
@@ -306,14 +306,14 @@ def _glue_delta_arrays(gl, in_a, phi_a, keep, phi_keep) -> int:
 
 
 def _frame(view: tuple, cfg: SolverConfig, stats: Stats, depth: int, hook):
-    """One recursion level; yields child views, returns ``(mn, phi)`` lists.
+    """One recursion level; yields child views, returns ``(sides, phi)`` lists.
 
     A view is (game, ascending kept vertices, potential shift, hint): the
     subgame ``restrict(game, kept, shift)``, or the game itself when ``kept``
     is None.  The entry zones are computed on the view, and the subgame is
-    built only if it is not already reduced.  ``mn`` marks the Min region;
-    the Max region is its complement, so flipping a dualised answer back is
-    a negation of both lists.
+    built only if it is not already reduced.  ``sides`` is 1 on the Min
+    region and -1 on the Max region, the format of ``Zones.side``, so
+    flipping a dualised answer back is a negation of both lists.
 
     A hint ``(sides, gone)`` (see ``_sup_loop``) is a side assignment that
     met ``is_reduced``'s per-vertex rule on a view that has since lost the
@@ -324,7 +324,7 @@ def _frame(view: tuple, cfg: SolverConfig, stats: Stats, depth: int, hook):
     vertex shows that each Min-side vertex is in N or joins ZN by the
     closure rule; the same induction over the order in which ZN is built
     shows that ZN never enters the Max side.  So the full path would find
-    the view reduced and return the same ``mn`` with a zero potential.
+    the view reduced and return the same ``sides`` with a zero potential.
     Otherwise the frame falls through to that path.
     """
     stats.recursive_calls += 1
@@ -332,11 +332,10 @@ def _frame(view: tuple, cfg: SolverConfig, stats: Stats, depth: int, hook):
     full = cfg.assertions >= AssertLevel.FULL
     g, keep, shift, hint = view
     if hint is not None and _hint_holds(g, shift, *hint):
-        side = hint[0]
-        mn = [side[v] > 0 for v in keep]
+        sides = list(map(hint[0].__getitem__, keep))
         if full:
-            _assert_certificate(g, keep, shift, mn)
-        return mn, [0] * len(keep)
+            _assert_certificate(g, keep, shift, sides)
+        return sides, [0] * len(keep)
     try:
         zones = compute_zones(g, keep, shift)
     except NotASubgameError as exc:
@@ -374,14 +373,14 @@ def _frame(view: tuple, cfg: SolverConfig, stats: Stats, depth: int, hook):
                     "zones failed to shrink into the relabeled zone"
                 )
             continue
-        mn, phi = outcome
+        sides, phi = outcome
         if flip:
-            mn, phi = [not x for x in mn], [-x for x in phi]
+            sides, phi = [-s for s in sides], [-x for x in phi]
         if full:
-            _assert_certificate(g, None, phi, mn)
-        return mn, [a + p for a, p in zip(acc, phi)]
+            _assert_certificate(g, None, phi, sides)
+        return sides, [a + p for a, p in zip(acc, phi)]
     side = zones.side
-    return ([s > 0 for s in side] if keep is None else [side[v] > 0 for v in keep]), acc
+    return (side if keep is None else [side[v] for v in keep]), acc
 
 
 def _drive(g: Game, cfg: SolverConfig, stats: Stats, hook):
@@ -416,10 +415,10 @@ def reduce_game(
     stats = Stats()
     if g.n == 0:
         return SolveResult(frozenset(), frozenset(), {}, {}, {}, stats)
-    mn, phi = _drive(g, cfg, stats, on_sup_values)
+    sides, phi = _drive(g, cfg, stats, on_sup_values)
     result = SolveResult(
-        min_region=frozenset(v for v in range(g.n) if mn[v]),
-        max_region=frozenset(v for v in range(g.n) if not mn[v]),
+        min_region=frozenset(v for v in range(g.n) if sides[v] > 0),
+        max_region=frozenset(v for v in range(g.n) if sides[v] < 0),
         potential={v: phi[v] for v in range(g.n)},
         min_strategy={},
         max_strategy={},
@@ -500,9 +499,9 @@ def solve_values(g: Game, cfg: SolverConfig | None = None) -> ValueResult:
     After every probe, fixing the certificate's Min strategy on its Min
     region leaves a one-player game whose best reachable cycle mean bounds
     each value from above; Max's strategy dually bounds it from below.  A
-    vertex whose tightest bounds meet is settled, and a band whose vertices
-    are all settled is not probed again.  Settled vertices stay in their band
-    so that it remains a subgame.
+    vertex is settled when its two bounds are equal: they meet, or a rule
+    below finds the value and writes it as both.  A band of settled vertices
+    is not probed again; they stay in it so that it remains a subgame.
 
     Such a bound is often already the value, so before each regular probe a
     group first verifies one: it probes at the bound x that most of its
@@ -549,7 +548,6 @@ def solve_values(g: Game, cfg: SolverConfig | None = None) -> ValueResult:
     # Reduced (numerator, denominator) pairs: lower[v] <= value(v) <= upper[v].
     lower = [(-w_bound, 1)] * n
     upper = [(w_bound, 1)] * n
-    exact: list = [None] * n
 
     def probe(verts: tuple, p: int, q: int, mode: ThresholdMode) -> frozenset:
         """Threshold regions of the band ``verts``, which is sorted; tightens bounds.
@@ -575,8 +573,6 @@ def solve_values(g: Game, cfg: SolverConfig | None = None) -> ValueResult:
                 bx, by = bound[v]
                 if side * (x * by - bx * y) < 0:
                     bound[v] = (x, y)
-                    if upper[v] == lower[v]:
-                        exact[v] = (x, y)
         return frozenset(verts[i] for i in res.min_region)
 
     def split(verts: tuple, inside: frozenset) -> tuple:
@@ -585,15 +581,12 @@ def solve_values(g: Game, cfg: SolverConfig | None = None) -> ValueResult:
             tuple(v for v in verts if v not in inside),
         )
 
-    def settled(verts: tuple) -> bool:
-        return all(exact[v] is not None for v in verts)
-
     # Bounds already verified; the starting bounds +-W come from no strategy.
     tried = {((-w_bound, 1), ThresholdMode.WEAK), ((w_bound, 1), ThresholdMode.STRICT)}
 
     def verify(verts: tuple):
         """Probe at the bound ``_shared_bound`` picks; its two parts, or None."""
-        key = _shared_bound(verts, lower, upper, exact, tried)
+        key = _shared_bound(verts, lower, upper, tried)
         if key is None:
             return None
         tried.add(key)
@@ -605,7 +598,7 @@ def solve_values(g: Game, cfg: SolverConfig | None = None) -> ValueResult:
     groups = [(tuple(range(n)), Fraction(-w_bound - 1), Fraction(w_bound), False)]
     while groups:
         verts, lo, hi, verified = groups.pop()
-        if settled(verts):
+        if all(lower[v] == upper[v] for v in verts):
             continue
         if not verified and (parts := verify(verts)):
             groups += ((part, lo, hi, True) for part in parts if part)
@@ -616,7 +609,7 @@ def solve_values(g: Game, cfg: SolverConfig | None = None) -> ValueResult:
             # STRICT puts value-hi vertices on the Max side of w - hi.
             rest, top = split(verts, probe(verts, *hi.as_integer_ratio(), ThresholdMode.STRICT))
             for v in top:
-                exact[v] = hi.as_integer_ratio()
+                lower[v] = upper[v] = hi.as_integer_ratio()
             if rest:
                 # Below hi with denominator <= k means at most hi - 1/k.
                 groups.append((rest, lo, hi - Fraction(1, len(rest)), False))
@@ -625,7 +618,7 @@ def solve_values(g: Game, cfg: SolverConfig | None = None) -> ValueResult:
             x = ((lo + hi) / 2).limit_denominator(len(verts))
             if not lo < x < hi:
                 for v in verts:
-                    exact[v] = hi.as_integer_ratio()
+                    lower[v] = upper[v] = hi.as_integer_ratio()
                 continue
         left, right = split(verts, probe(verts, *x.as_integer_ratio(), ThresholdMode.WEAK))
         if left:
@@ -634,11 +627,11 @@ def solve_values(g: Game, cfg: SolverConfig | None = None) -> ValueResult:
             groups.append((right, x, hi, False))
     distinct: dict = {}
     return ValueResult(
-        {v: distinct.setdefault(pq, Fraction(*pq)) for v, pq in enumerate(exact)}
+        {v: distinct.setdefault(pq, Fraction(*pq)) for v, pq in enumerate(lower)}
     )
 
 
-def _shared_bound(verts: tuple, lower: list, upper: list, exact: list, tried: set):
+def _shared_bound(verts: tuple, lower: list, upper: list, tried: set):
     """The one-sided bound most unsettled vertices of ``verts`` share, or None.
 
     Returns ``((p, q), mode)``: WEAK for a lower bound, STRICT for an upper
@@ -647,7 +640,7 @@ def _shared_bound(verts: tuple, lower: list, upper: list, exact: list, tried: se
     """
     shared: dict = {}
     for v in verts:
-        if exact[v] is None:
+        if lower[v] != upper[v]:
             for key in ((lower[v], ThresholdMode.WEAK), (upper[v], ThresholdMode.STRICT)):
                 if key[0][1] <= len(verts) and key not in tried:
                     shared[key] = shared.get(key, 0) + 1

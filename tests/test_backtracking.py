@@ -280,7 +280,7 @@ class TestGoodEscapeSet:
         loop = _sup_loop(g, compute_zones(g).cls, SolverConfig(), Stats(), 0, None)
         assert next(loop)[1] == [1, 2]
         with pytest.raises(SolverInternalError, match="no escape edge"):
-            loop.send(([True, True], [0, 0]))
+            loop.send(([1, 1], [0, 0]))
 
     def test_minus_case_mirrors_plus(self):
         # f (Max, +1 loop finished); h0 Max escape -1 to f; h1 Min behind it.

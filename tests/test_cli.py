@@ -12,6 +12,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -28,7 +29,7 @@ from mpg import (
     solve_threshold,
 )
 from mpg.cli import BENCH_HEADER, _config_from_args, build_parser, main
-from mpg.solver import AssertLevel, SolverConfig
+from mpg.solver import AssertLevel, SolverConfig, Stats
 import conftest
 from conftest import G3_TEXT, G4_TEXT, G5_TEXT
 
@@ -288,6 +289,14 @@ class TestConfigFromArgs:
         args = build_parser().parse_args(["diff"])
         assert _config_from_args(args) == SolverConfig()
 
+    @pytest.mark.parametrize(
+        "argv", [["solve", "g.mpg"], ["values", "g.mpg"], ["bench", "--csv", "x.csv"]],
+        ids=["solve", "values", "bench"],
+    )
+    def test_no_solver_flag_builds_the_default_config(self, argv, monkeypatch):
+        monkeypatch.delenv("MPG_ASSERT", raising=False)
+        assert _config_from_args(build_parser().parse_args(argv)) == SolverConfig()
+
 
 class TestGen:
     def test_deterministic_output(self, capsys):
@@ -341,6 +350,13 @@ class TestDiff:
 
 
 class TestBench:
+    def test_stats_columns_follow_stats(self):
+        # The header stays a literal for README readers; its counters sit
+        # between wall_us and result_hash, in the order of Stats' fields.
+        columns = BENCH_HEADER.split(",")
+        counters = columns[columns.index("wall_us") + 1 : columns.index("result_hash")]
+        assert counters == [f.name for f in dataclasses.fields(Stats)]
+
     def test_rows_per_instance_and_policy(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         corpus.mkdir()
@@ -562,3 +578,14 @@ class TestReadme:
         assert len(flags) > 15
         text = self.README.read_text(encoding="utf-8")
         assert sorted(f for f in flags if not re.search(re.escape(f) + r"(?![\w-])", text)) == []
+
+
+def test_version_is_written_once():
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    path = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    with warnings.catch_warnings():
+        # setuptools marks its [tool.setuptools] table as beta.
+        warnings.simplefilter("ignore")
+        project = pyprojecttoml.read_configuration(path, expand=True)["project"]
+    assert project["dynamic"] == ["version"]
+    assert project["version"] == mpg.__version__

@@ -3,21 +3,28 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from mpg import (
     PLUS_INF,
     BudgetExceededError,
+    GenParams,
+    Model,
     Player,
+    Policy,
+    SolverConfig,
     ThresholdMode,
     brute_force_infsigma,
     brute_force_solve,
     brute_force_supsigma,
     compute_zones,
     energy_value_iteration,
+    gen_random,
     parse_game,
     preprocess_no_zero_cycles,
+    solve_threshold,
     verify_strategy,
 )
 from conftest import small_corpus
@@ -105,6 +112,55 @@ class TestEnergyValueIteration:
             energy = energy_value_iteration(g)
             finite = frozenset(v for v, x in energy.items() if x != PLUS_INF)
             assert finite == brute_force_solve(g).min_region
+
+
+def mid_size_games() -> list:
+    """36 seeded games, out-degree 1-4: one per n in {100, 200}, W in {4, 100}
+    and model, two per such triple with n in {20, 50}.
+
+    Seeds 100-135.  Energy iteration is pseudo-polynomial, and its time
+    over a fixed seed range has a tail: seeds 0-35 and 1000-1035 also agree
+    everywhere, but take about 12-13 s in it against about 6 s here.
+    """
+    games = []
+    for n, w, model in product((20, 50, 100, 200), (4, 100), Model):
+        for _ in range(2 if n <= 50 else 1):
+            params = GenParams(n=n, out_degree=(1, 4), weight_bound=w, model=model,
+                               seed=100 + len(games))
+            games.append(gen_random(params))
+    return games
+
+
+class TestMidSizeEnergyGate:
+    """Regions at sizes brute force cannot reach, against energy iteration."""
+
+    @pytest.mark.parametrize("mode", list(ThresholdMode), ids=lambda m: m.value)
+    def test_min_region_is_the_finite_set(self, mode):
+        # LARGER_ZONE with every optimisation on every game, the default
+        # configuration up to n = 50, all 40 configurations on games 0, 2
+        # and 4: the first n = 20, W = 4 game of each model.
+        best = SolverConfig(
+            policy=Policy.LARGER_ZONE, opt_init=True, opt_bulk=True,
+            remember_potentials=True, threshold_mode=mode,
+        )
+        every = [
+            SolverConfig(policy=p, opt_init=i, opt_bulk=b, remember_potentials=r,
+                         threshold_mode=mode)
+            for p, i, b, r in product(Policy, (False, True), (False, True), (False, True))
+        ]
+        assert len(every) == 40
+        games = mid_size_games()
+        assert len(games) == 36
+        for index, g in enumerate(games):
+            energy = energy_value_iteration(preprocess_no_zero_cycles(g, mode))
+            finite = frozenset(v for v, x in energy.items() if x != PLUS_INF)
+            configs = [best]
+            if g.n <= 50:
+                configs.append(SolverConfig(threshold_mode=mode))
+            if index in (0, 2, 4):
+                configs += every
+            for cfg in configs:
+                assert solve_threshold(g, cfg).min_region == finite, (index, cfg)
 
 
 class TestFirstMoveConsistency:

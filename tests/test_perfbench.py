@@ -17,6 +17,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from mpg import SolverConfig, Stats
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -60,17 +62,24 @@ def test_every_config_field_the_benchmark_sets_exists():
     assert names <= {f.name for f in dataclasses.fields(SolverConfig)}
 
 
-def test_traced_values_run_reports_every_per_layer_metric(tmp_path):
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("workload", ["values", "threshold-small"])
+def test_traced_values_run_reports_every_per_layer_metric(tmp_path, workload):
     # A copy of the checkout, so the run's output files stay out of the tree.
     shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
     shutil.copytree(BENCH, tmp_path / "perfbench", ignore=shutil.ignore_patterns("out", "__pycache__"))
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "values",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "1", "--seconds", "0", "--trace", "1"],
         cwd=tmp_path, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    # Strict JSON: NaN and Infinity, which json.loads takes by default, fail.
+    result = json.loads(proc.stdout.strip().splitlines()[-1], parse_constant=reject_constant)
     assert result["correct"] is True
+    assert result["failed"] == 0
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     assert {m["name"] for m in declared} - set(result["metrics"]) == set()

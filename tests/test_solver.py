@@ -279,6 +279,13 @@ class TestSolveValues:
     def test_half_integer_value(self, g3):
         assert solve_values(g3).values == {0: Fraction(-1, 2), 1: Fraction(-1, 2)}
 
+    def test_equal_start_bounds_settle_without_a_probe(self, monkeypatch):
+        # With every weight 0 the bounds +-W start equal, which is settled.
+        calls = count_probes(monkeypatch)
+        g = gen_random(GenParams(n=9, seed=3))
+        assert solve_values(g.with_weights([0] * g.m)).values == dict.fromkeys(range(9), 0)
+        assert calls == []
+
     def test_mixed_game(self, g5):
         assert solve_values(g5).values == {
             0: Fraction(1),
@@ -470,11 +477,10 @@ class TestSolveValues:
         verts = (0, 1, 2, 3, 4)
         lower = [(1, 6), (1, 3)] + [(5, 1)] * 3
         upper = [(2, 1), (2, 1)] + [(5, 1)] * 3
-        exact = [None, None] + [(5, 1)] * 3
-        assert _shared_bound(verts, lower, upper, exact, set()) == ((2, 1), strict)
-        assert _shared_bound(verts, lower, upper, exact, {((2, 1), strict)}) == ((1, 3), weak)
+        assert _shared_bound(verts, lower, upper, set()) == ((2, 1), strict)
+        assert _shared_bound(verts, lower, upper, {((2, 1), strict)}) == ((1, 3), weak)
         tried = {((2, 1), strict), ((1, 3), weak)}
-        assert _shared_bound(verts, lower, upper, exact, tried) is None
+        assert _shared_bound(verts, lower, upper, tried) is None
 
     def test_full_assertions_on_values_games(self):
         # FULL runs the side check on every bound of every probe, the
@@ -803,7 +809,7 @@ class TestCarriedCertificate:
                 assert held == (is_reduced(g, z, shift) and z.ZN == zn)
                 if held:
                     assert run_frame((g, keep, shift, (sides, gone)), FULL) == (
-                        [sides[v] > 0 for v in keep], [0] * len(keep)
+                        [sides[v] for v in keep], [0] * len(keep)
                     )
                 outcomes["held" if held else "failed"] += 1
                 if not held:
@@ -833,7 +839,7 @@ class TestCarriedCertificate:
         )
         sides = [1, -1, -1, 0]
         view = (g, [0, 1, 2], None, (sides, [3]))
-        assert run_frame(view, SolverConfig()) == ([True, False, False], [0, 0, 0])
+        assert run_frame(view, SolverConfig()) == ([1, -1, -1], [0, 0, 0])
         with pytest.raises(SolverInternalError, match="certificate check failed"):
             run_frame(view, FULL)
 
