@@ -20,14 +20,9 @@ from .game import (
 )
 from .generators import GenParams, Model, Rng, gen_random
 from .oracles import (
-    MINUS_INF,
-    PLUS_INF,
     BruteForceResult,
     BudgetExceededError,
-    brute_force_infsigma,
     brute_force_solve,
-    brute_force_supsigma,
-    energy_value_iteration,
     verify_strategy,
 )
 from .solver import (

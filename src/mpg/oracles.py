@@ -1,10 +1,10 @@
-"""Independent reference implementations for differential testing.
+"""Independent reference implementations that the program itself runs.
 
-Everything here is written for obviousness, not speed: exhaustive minimax
-over positional strategy profiles, direct peak-value evaluation of lasso
-plays, the classical lifting iteration for energy values, and a certificate
-check for claimed winning strategies.  None of it shares code with the
-solver.
+Both are written for obviousness, not speed, and share no code with the
+solver: exhaustive minimax over positional strategy profiles, which
+``mpg diff`` compares the solver against, and a certificate check for
+claimed winning strategies, which the benchmark's correctness check
+applies to the strategies of each threshold answer.
 """
 
 from __future__ import annotations
@@ -15,9 +15,6 @@ from itertools import product
 from typing import Iterable, Mapping
 
 from .game import Game, Player
-
-PLUS_INF = float("inf")
-MINUS_INF = float("-inf")
 
 DEFAULT_BUDGET = 2**20
 
@@ -120,124 +117,6 @@ def brute_force_solve(g: Game, budget: int = DEFAULT_BUDGET) -> BruteForceResult
     return BruteForceResult(
         values, min_region, frozenset(range(n)) - min_region
     )
-
-
-def _peak_before(g: Game, nxt: tuple, start: int, target: frozenset):
-    """Largest prefix sum of the play from ``start`` before entering ``target``.
-
-    The empty prefix counts, so the result is never negative.  If the play
-    never reaches the target it settles into a cycle; a positive cycle pumps
-    the peak to infinity, otherwise the peak appears within the first full
-    traversal.
-    """
-    edst, ew = g.edst, g.eweight
-    v = start
-    total = 0
-    peak = 0
-    seen: dict = {}
-    while True:
-        if v in target:
-            return peak
-        prev = seen.get(v)
-        if prev is not None:
-            if total > prev:
-                return PLUS_INF
-            return peak
-        seen[v] = total
-        e = nxt[v]
-        total += ew[e]
-        if total > peak:
-            peak = total
-        v = edst[e]
-
-
-def brute_force_supsigma(
-    g: Game, x: Iterable, budget: int = DEFAULT_BUDGET
-) -> dict:
-    """Minimax peak value before reaching ``x``, per vertex.
-
-    Min minimizes and Max maximizes the largest prefix sum seen before the
-    play first enters ``x`` (over the whole infinite play if it never does).
-    Values are >= 0 or +infinity.
-    """
-    _check_budget(g, budget)
-    target = frozenset(x)
-    n = g.n
-    min_vertices = [v for v in range(n) if g.owners[v] is Player.MIN]
-    max_vertices = [v for v in range(n) if g.owners[v] is Player.MAX]
-    outer: list = [None] * n
-    base = [0] * n
-    for sigma in product(*(g.out[v] for v in min_vertices)):
-        nxt = base[:]
-        for v, e in zip(min_vertices, sigma):
-            nxt[v] = e
-        inner: list = [None] * n
-        for tau in product(*(g.out[v] for v in max_vertices)):
-            for v, e in zip(max_vertices, tau):
-                nxt[v] = e
-            frozen = tuple(nxt)
-            for v in range(n):
-                peak = _peak_before(g, frozen, v, target)
-                if inner[v] is None or peak > inner[v]:
-                    inner[v] = peak
-        for v in range(n):
-            if outer[v] is None or inner[v] < outer[v]:
-                outer[v] = inner[v]
-    return {v: outer[v] for v in range(n)}
-
-
-def brute_force_infsigma(
-    g: Game, x: Iterable, budget: int = DEFAULT_BUDGET
-) -> dict:
-    """Minimax valley value before reaching ``x``: the mirror of the peak oracle."""
-    from .game import dual_game
-
-    dual = brute_force_supsigma(dual_game(g), x, budget)
-    return {v: -val for v, val in dual.items()}
-
-
-def energy_value_iteration(g: Game) -> dict:
-    """Least fixpoint of the peak-value equations by worklist lifting.
-
-    f(v) = max(0, opt over edges of w + f(dst)) with opt = min for Min and
-    max for Max.  Requires a game without zero cycles; finite values are
-    bounded by (n-1)*W, so anything lifted past n*W diverges and is reported
-    as +infinity.  The finite set is exactly the Min winning region.
-    """
-    n = g.n
-    if n == 0:
-        return {}
-    cap = n * g.W
-    owners, out, inc, edst, esrc, ew = g.owners, g.out, g.inc, g.edst, g.esrc, g.eweight
-    f: list = [0] * n
-
-    def lifted(v: int):
-        if owners[v] is Player.MIN:
-            best = min(ew[e] + f[edst[e]] for e in out[v])
-        else:
-            best = max(ew[e] + f[edst[e]] for e in out[v])
-        if best <= 0:
-            return 0
-        if best > cap:
-            return PLUS_INF
-        return best
-
-    from collections import deque
-
-    queue = deque(range(n))
-    queued = [True] * n
-    while queue:
-        v = queue.popleft()
-        queued[v] = False
-        new = lifted(v)
-        if new > f[v]:
-            f[v] = new
-            for e in inc[v]:
-                u = esrc[e]
-                if not queued[u]:
-                    queued[u] = True
-                    queue.append(u)
-    return {v: f[v] for v in range(n)}
 
 
 def verify_strategy(

@@ -625,10 +625,8 @@ def solve_values(g: Game, cfg: SolverConfig | None = None) -> ValueResult:
             groups.append((left, lo, x, False))
         if right:
             groups.append((right, x, hi, False))
-    distinct: dict = {}
-    return ValueResult(
-        {v: distinct.setdefault(pq, Fraction(*pq)) for v, pq in enumerate(lower)}
-    )
+    distinct = {pq: Fraction(*pq) for pq in set(lower)}
+    return ValueResult({v: distinct[pq] for v, pq in enumerate(lower)})
 
 
 def _shared_bound(verts: tuple, lower: list, upper: list, tried: set):

@@ -27,9 +27,7 @@ from mpg import (
     ThresholdMode,
     apply_potential,
     brute_force_solve,
-    brute_force_supsigma,
     compute_zones,
-    energy_value_iteration,
     gen_random,
     is_reduced,
     preprocess_no_zero_cycles,
@@ -41,6 +39,7 @@ from mpg import (
 )
 from mpg.cli import main as cli_main
 from mpg.generators import Rng
+from peak_oracles import PLUS_INF, brute_force_supsigma, energy_value_iteration
 
 CORPUS_SIZE = 10_000
 CORPUS_PARAMS = dict(n=8, out_degree=(1, 3), weight_bound=4)
@@ -271,8 +270,6 @@ def test_criterion_08_zero_cycle_handling():
 
 
 def test_criterion_09_cross_oracle_consistency(sweep):
-    from mpg.oracles import PLUS_INF
-
     bad = []
     for r in sweep.records:
         energy = energy_value_iteration(r.pre)

@@ -15,8 +15,6 @@ from mpg import (
     Stats,
     ThresholdMode,
     apply_potential,
-    brute_force_infsigma,
-    brute_force_supsigma,
     compute_zones,
     dual_game,
     parse_game,
@@ -27,6 +25,7 @@ from mpg import (
 from mpg.backtracking import _attract_max_core, _backtrack_core, _good_escape_core
 from mpg.solver import _sup_loop
 from conftest import is_trap, small_corpus
+from peak_oracles import brute_force_infsigma, brute_force_supsigma
 
 
 def no_zero_cycles(count, seed0, max_n=7):

@@ -8,7 +8,6 @@ from itertools import product
 import pytest
 
 from mpg import (
-    PLUS_INF,
     BudgetExceededError,
     GenParams,
     Model,
@@ -16,11 +15,8 @@ from mpg import (
     Policy,
     SolverConfig,
     ThresholdMode,
-    brute_force_infsigma,
     brute_force_solve,
-    brute_force_supsigma,
     compute_zones,
-    energy_value_iteration,
     gen_random,
     parse_game,
     preprocess_no_zero_cycles,
@@ -28,6 +24,12 @@ from mpg import (
     verify_strategy,
 )
 from conftest import small_corpus
+from peak_oracles import (
+    PLUS_INF,
+    brute_force_infsigma,
+    brute_force_supsigma,
+    energy_value_iteration,
+)
 
 
 def no_zero_cycles(count, seed0, max_n=6):

@@ -66,7 +66,7 @@ def reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
-@pytest.mark.parametrize("workload", ["values", "threshold-small"])
+@pytest.mark.parametrize("workload", ["values", "threshold-small", "cli-large"])
 def test_traced_values_run_reports_every_per_layer_metric(tmp_path, workload):
     # A copy of the checkout, so the run's output files stay out of the tree.
     shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
