@@ -173,7 +173,7 @@ def cmd_values(args) -> int:
     g = _load_game(args.game)
     res = solve_values(g, _config_from_args(args))
     doc = {
-        str(g.orig_ids[v]): str(res.values[v])
+        str(g.orig_ids[v]): str(res.by_vertex[v])
         for v in sorted(range(g.n), key=lambda v: g.orig_ids[v])
     }
     _print_json(doc)

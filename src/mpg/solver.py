@@ -115,9 +115,18 @@ class SolveResult:
 
 @dataclass(frozen=True, slots=True)
 class ValueResult:
-    """Exact mean-payoff value per vertex, each a reduced Fraction."""
+    """Exact mean-payoff value per vertex, each a reduced Fraction.
 
-    values: dict
+    ``by_vertex[v]`` is vertex v's value; a tuple takes at most a third of a
+    dict's memory, paid per result by a caller that keeps many.
+    """
+
+    by_vertex: tuple
+
+    @property
+    def values(self) -> dict:
+        """``{vertex: value}``, built from ``by_vertex`` on each access."""
+        return dict(enumerate(self.by_vertex))
 
 
 #: Called after a frame finishes computing peak values over its whole loop
@@ -496,30 +505,24 @@ def solve_values(g: Game, cfg: SolverConfig | None = None) -> ValueResult:
     only ``restrict(g, band)``, and values in a band of k vertices have
     denominators <= k, so k replaces n as the bound below.
 
-    After every probe, fixing the certificate's Min strategy on its Min
-    region leaves a one-player game whose best reachable cycle mean bounds
-    each value from above; Max's strategy dually bounds it from below.  A
-    vertex is settled when its two bounds are equal: they meet, or a rule
-    below finds the value and writes it as both.  A band of settled vertices
-    is not probed again; they stay in it so that it remains a subgame.
-
-    Such a bound is often already the value, so before each regular probe a
-    group first verifies one: it probes at the bound x that most of its
-    unsettled vertices share (``_shared_bound``), WEAK at x for a lower bound
-    and STRICT at x for an upper one.  WEAK gives every vertex of value <= x
-    an upper bound <= x from the new Min strategy, so each vertex whose
-    lower bound x was its value is settled by the rule above; STRICT dually
-    gives every vertex of value >= x a lower bound >= x.  The probe's two
-    regions cut the group's interval at x, so each part is again a band, and
-    its values still lie in the group's bracket: the part goes on with that
-    bracket, an over-approximation, which is all the search needs.  Being a
-    band, it has values with denominators <= its own size, so it needs
-    nothing else from the group.  A group verifies at most once between two
-    of its regular probes and a bound is tried at most once per call, so the
-    regular probes below stay the skeleton that finds every value whatever
-    the bounds are; a verification only cuts it short where it confirms a
-    bound.  Bounds with a denominator above the band size, which no value in
-    the band can have, are not tried.
+    After every probe, best responses bound every value of the band from
+    both sides.  Fixing the certificate's Min strategy on its Min region
+    leaves Max a one-player game there, whose best reachable cycle mean
+    bounds each value from above (the region pass); Max's strategy dually
+    bounds the Max region from below.  The free player's final Howard
+    policy in each is its best response.  Min then gets one strategy for
+    the whole band: the certificate's on the Min region and its best
+    response to Max's on the Max region.  The Min region is a Max-trap and
+    that strategy keeps Min in it, so from there play reaches only the
+    region pass's cycles and keeps its bounds.  By positional determinacy
+    the best cycle mean Max reaches against any positional Min strategy
+    bounds the value from above, so this best-response pass gives every
+    band vertex an upper bound.  Max dually gets one strategy from the
+    certificate's on the Max region, a Min-trap, and its best response on
+    the Min region, which gives every vertex a lower bound.  A vertex is
+    settled when its two bounds are equal: they meet, or a rule below finds
+    the value and writes it as both.  A band of settled vertices is not
+    probed again; they stay in it so that it remains a subgame.
 
     Vertices the bounds leave open go on through the search.  A group of k
     vertices with bracket (lo, hi] takes one regular probe by the first rule
@@ -537,12 +540,16 @@ def solve_values(g: Game, cfg: SolverConfig | None = None) -> ValueResult:
       (x, hi]; if not, every value of the group is hi.
 
     Each probe leaves every part a bracket with fewer fractions of
-    denominator <= n than its group's, so the search ends.
+    denominator <= n than its group's, so the search ends.  The groups and
+    their probes do not depend on the bounds, which only prune groups whose
+    vertices are all settled, with every group below them: each game takes
+    at most the probes of the search without bounds, all of them keeping
+    q <= n and |p/q| <= W + 1.
     """
     cfg = cfg or SolverConfig()
     n = g.n
     if n == 0:
-        return ValueResult({})
+        return ValueResult(())
     w_bound = g.W
     cheap = cfg.assertions >= AssertLevel.CHEAP
     # Reduced (numerator, denominator) pairs: lower[v] <= value(v) <= upper[v].
@@ -558,21 +565,36 @@ def solve_values(g: Game, cfg: SolverConfig | None = None) -> ValueResult:
         scaled = band.with_weights([q * w - p for w in band.eweight])
         res = solve_threshold(scaled, replace(cfg, threshold_mode=mode))
         strict = mode is ThresholdMode.STRICT
+        # Region pass: the side check, and the free player's best response.
+        reply = {}
         for region, strategy, is_upper in (
             (res.min_region, res.min_strategy, True),
             (res.max_region, res.max_strategy, False),
         ):
-            bound, side = (upper, 1) if is_upper else (lower, -1)
-            for i, (x, y) in _cycle_mean_bounds(band, region, strategy, is_upper):
+            side, free = (1, Player.MAX) if is_upper else (-1, Player.MIN)
+            bounds, reply[free] = _cycle_mean_bounds(band, region, strategy, is_upper)
+            for _, (x, y) in bounds:
                 # WEAK: upper bounds are <= p/q and lower bounds > p/q;
                 # STRICT: upper bounds are < p/q and lower bounds >= p/q.
                 gap = side * (x * q - p * y)
                 if cheap and (gap > 0 or (gap == 0 and strict is is_upper)):
                     raise SolverInternalError(f"bound {x}/{y} on the wrong side of {p}/{q}")
+        # Best-response pass over the whole band; on each player's own
+        # region it repeats the region pass's bounds.
+        whole = frozenset(range(len(verts)))
+        for strategy, is_upper in (
+            (res.min_strategy | reply[Player.MIN], True),
+            (res.max_strategy | reply[Player.MAX], False),
+        ):
+            bound, side = (upper, 1) if is_upper else (lower, -1)
+            for i, (x, y) in _cycle_mean_bounds(band, whole, strategy, is_upper)[0]:
                 v = verts[i]
                 bx, by = bound[v]
                 if side * (x * by - bx * y) < 0:
                     bound[v] = (x, y)
+                    (lx, ly), (ux, uy) = lower[v], upper[v]
+                    if cheap and lx * uy > ux * ly:
+                        raise SolverInternalError(f"bounds cross at vertex {v}")
         return frozenset(verts[i] for i in res.min_region)
 
     def split(verts: tuple, inside: frozenset) -> tuple:
@@ -581,27 +603,12 @@ def solve_values(g: Game, cfg: SolverConfig | None = None) -> ValueResult:
             tuple(v for v in verts if v not in inside),
         )
 
-    # Bounds already verified; the starting bounds +-W come from no strategy.
-    tried = {((-w_bound, 1), ThresholdMode.WEAK), ((w_bound, 1), ThresholdMode.STRICT)}
-
-    def verify(verts: tuple):
-        """Probe at the bound ``_shared_bound`` picks; its two parts, or None."""
-        key = _shared_bound(verts, lower, upper, tried)
-        if key is None:
-            return None
-        tried.add(key)
-        return split(verts, probe(verts, *key[0], key[1]))
-
-    # A group is (vertices, lo, hi, verified): the values lie in (lo, hi],
-    # and ``verified`` is True once the group has verified since its last
-    # regular probe.  Brackets wider than 1 have integer ends.
-    groups = [(tuple(range(n)), Fraction(-w_bound - 1), Fraction(w_bound), False)]
+    # A group is (vertices, lo, hi): the values lie in (lo, hi].  Brackets
+    # wider than 1 have integer ends.
+    groups = [(tuple(range(n)), Fraction(-w_bound - 1), Fraction(w_bound))]
     while groups:
-        verts, lo, hi, verified = groups.pop()
+        verts, lo, hi = groups.pop()
         if all(lower[v] == upper[v] for v in verts):
-            continue
-        if not verified and (parts := verify(verts)):
-            groups += ((part, lo, hi, True) for part in parts if part)
             continue
         if hi - lo > 1:
             x = Fraction((lo + hi) // 2)
@@ -612,7 +619,7 @@ def solve_values(g: Game, cfg: SolverConfig | None = None) -> ValueResult:
                 lower[v] = upper[v] = hi.as_integer_ratio()
             if rest:
                 # Below hi with denominator <= k means at most hi - 1/k.
-                groups.append((rest, lo, hi - Fraction(1, len(rest)), False))
+                groups.append((rest, lo, hi - Fraction(1, len(rest))))
             continue
         else:
             x = ((lo + hi) / 2).limit_denominator(len(verts))
@@ -622,30 +629,14 @@ def solve_values(g: Game, cfg: SolverConfig | None = None) -> ValueResult:
                 continue
         left, right = split(verts, probe(verts, *x.as_integer_ratio(), ThresholdMode.WEAK))
         if left:
-            groups.append((left, lo, x, False))
+            groups.append((left, lo, x))
         if right:
-            groups.append((right, x, hi, False))
+            groups.append((right, x, hi))
     distinct = {pq: Fraction(*pq) for pq in set(lower)}
-    return ValueResult({v: distinct[pq] for v, pq in enumerate(lower)})
+    return ValueResult(tuple(distinct[pq] for pq in lower))
 
 
-def _shared_bound(verts: tuple, lower: list, upper: list, tried: set):
-    """The one-sided bound most unsettled vertices of ``verts`` share, or None.
-
-    Returns ``((p, q), mode)``: WEAK for a lower bound, STRICT for an upper
-    one.  Bounds in ``tried`` and bounds whose denominator exceeds the band
-    size, which no value of the band can have, are left out.
-    """
-    shared: dict = {}
-    for v in verts:
-        if lower[v] != upper[v]:
-            for key in ((lower[v], ThresholdMode.WEAK), (upper[v], ThresholdMode.STRICT)):
-                if key[0][1] <= len(verts) and key not in tried:
-                    shared[key] = shared.get(key, 0) + 1
-    return max(shared, key=shared.get) if shared else None
-
-
-def _cycle_mean_bounds(g: Game, region: frozenset, strategy: dict, upper: bool) -> list:
+def _cycle_mean_bounds(g: Game, region: frozenset, strategy: dict, upper: bool) -> tuple:
     """Best cycle mean each vertex of ``region`` can reach against ``strategy``.
 
     ``strategy`` fixes one edge per vertex of one player inside ``region``;
@@ -653,7 +644,10 @@ def _cycle_mean_bounds(g: Game, region: frozenset, strategy: dict, upper: bool) 
     inside it.  In the resulting one-player graph the free player reaches the
     largest cycle mean (``upper``, the free player is Max) or the smallest
     (Min) of any cycle reachable from the vertex, which bounds its value.
-    Returns ``[(v, (numerator, denominator))]``, reduced, denominator > 0.
+    Returns ``(bounds, reply)``: ``bounds`` is ``[(v, (numerator,
+    denominator))]``, reduced, denominator > 0, and ``reply`` maps each
+    vertex outside ``strategy`` to the edge id it plays in the final policy
+    below, which reaches its bound: the free player's best response.
 
     Weights are negated for Min, so the work is always a maximum, found by
     Howard's policy iteration in integers.  A policy picks one successor per
@@ -681,15 +675,18 @@ def _cycle_mean_bounds(g: Game, region: frozenset, strategy: dict, upper: bool) 
     for v in verts:
         edges = (strategy[v],) if v in strategy else g.out[v]
         try:
-            succ.append([(index[g.edst[e]], sign * g.eweight[e]) for e in edges])
+            succ.append([(index[g.edst[e]], sign * g.eweight[e], e) for e in edges])
         except KeyError:
             raise SolverInternalError(f"vertex {v} can leave its region") from None
     size = len(verts)
     policy = [max(edges, key=lambda edge: edge[1]) for edges in succ]
+    choices = [(v, edges) for v, edges in enumerate(succ) if len(edges) > 1]
     while True:
         # Per vertex: its gain, its bias and its position on the current walk.
         gain, bias, at = [None] * size, [0] * size, [-1] * size
         for root in range(size):
+            if gain[root] is not None:
+                continue
             walk, v = [], root
             while gain[v] is None and at[v] < 0:
                 at[v] = len(walk)
@@ -703,20 +700,22 @@ def _cycle_mean_bounds(g: Game, region: frozenset, strategy: dict, upper: bool) 
                 gain[cycle[low]] = (total // r, len(cycle) // r)
                 walk[at[v]:] = cycle[low + 1:] + cycle[:low]  # in order after the lowest
             for u in reversed(walk):
-                x, w = policy[u]
+                x, w, _ = policy[u]
                 p, q = gain[u] = gain[x]
                 bias[u] = q * w - p + bias[x]
-        before = policy[:]
-        for v, edges in enumerate(succ):
+        moved = False
+        for v, edges in choices:
             p, q = own = top = gain[v]
             best, choice = bias[v], None
-            for u, w in edges:
+            for edge in edges:
+                u, w, _ = edge
                 x, y = gain[u]
                 if x * top[1] > top[0] * y:
-                    top, choice = gain[u], (u, w)
+                    top, choice = gain[u], edge
                 elif top is own and gain[u] == own and q * w - p + bias[u] > best:
-                    best, choice = q * w - p + bias[u], (u, w)
+                    best, choice = q * w - p + bias[u], edge
             if choice is not None:
-                policy[v] = choice
-        if policy == before:
-            return [(v, (sign * p, q)) for v, (p, q) in zip(verts, gain)]
+                policy[v], moved = choice, True
+        if not moved:
+            bounds = [(v, (sign * p, q)) for v, (p, q) in zip(verts, gain)]
+            return bounds, {v: policy[i][2] for i, v in enumerate(verts) if v not in strategy}

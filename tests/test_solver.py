@@ -41,7 +41,6 @@ from mpg.solver import (
     _frame,
     _glue_delta_arrays,
     _hint_holds,
-    _shared_bound,
 )
 from conftest import G3_TEXT, G5_TEXT, small_corpus
 from peak_oracles import brute_force_supsigma
@@ -359,19 +358,20 @@ class TestSolveValues:
         # The eight games of the benchmark's values workload, then two n=60
         # games under ``BASELINE``: 170 and 20 + 20 probes when every
         # value walked its Stern-Brocot chain on the whole game, 43 and 4 + 7
-        # before bounds were verified.
+        # with bounds from each probe's regions alone, 32 and 3 + 7 with a
+        # probe verifying one of those bounds before each regular probe.
         calls = count_probes(monkeypatch)
         cfg = SolverConfig(
             policy=Policy.SMALLER_ZONE, opt_init=True, opt_bulk=True, remember_potentials=True
         )
         for g in values_games():
             solve_values(g, cfg)
-        assert len(calls) <= 34
-        for seed in (1, 3):
+        assert len(calls) <= 14
+        for seed, probes in ((1, 1), (3, 2)):
             calls.clear()
             g = gen_random(GenParams(n=60, out_degree=(1, 3), weight_bound=20, seed=seed))
             solve_values(g, BASELINE)
-            assert len(calls) <= 10, seed
+            assert len(calls) == probes, seed
 
     def test_values_probe_sequence_is_pinned(self, monkeypatch):
         # The size, weight bound and mode of every threshold solve on the
@@ -389,14 +389,14 @@ class TestSolveValues:
         )
         for g in values_games():
             solve_values(g, cfg)
-        assert len(calls) == 32
-        assert hashlib.sha256(repr(calls).encode()).hexdigest()[:16] == "8e74566954c493ff"
+        assert len(calls) == 14
+        assert hashlib.sha256(repr(calls).encode()).hexdigest()[:16] == "500073f504c98929"
 
     def test_search_alone_probes_within_its_bound(self, monkeypatch):
         # Without bounds an n-cycle of total t takes the integer bisection
         # over (-W-1, W], one STRICT probe and a bisection down to the value
         # among fractions of denominator <= n.
-        monkeypatch.setattr(solver_module, "_cycle_mean_bounds", lambda *args: [])
+        monkeypatch.setattr(solver_module, "_cycle_mean_bounds", lambda *args: ([], {}))
         calls = count_probes(monkeypatch)
         for n in range(2, 33):
             owners = [Player.MIN if v % 2 else Player.MAX for v in range(n)]
@@ -420,8 +420,9 @@ class TestSolveValues:
 
         monkeypatch.setattr(Fraction, "limit_denominator", counted)
         searched = 0
-        # Verified bounds settle every game of the corpus before the fraction
-        # search; these three keep a value that no bound reaches.
+        # Best-response bounds settle every game of the corpus before the
+        # fraction search.  The three games added were each found to keep a
+        # value that no bound reached; two of them still reach the search.
         games = small_corpus(120, seed0=18, max_n=9, model=Model.CYCLE_HEAVY) + [
             gen_random(GenParams(n=9, out_degree=(2, 4), weight_bound=1, model=model, seed=seed))
             for model, seed in ((Model.CYCLE_HEAVY, 148), (Model.LAYERED, 36), (Model.UNIFORM, 265))
@@ -438,7 +439,7 @@ class TestSolveValues:
         # probes and the fraction search on band subgames, down to the
         # brackets whose only fraction of small enough denominator is the
         # value.
-        monkeypatch.setattr(solver_module, "_cycle_mean_bounds", lambda *args: [])
+        monkeypatch.setattr(solver_module, "_cycle_mean_bounds", lambda *args: ([], {}))
         for g in small_corpus(80, seed0=24, max_n=9, model=model):
             assert solve_values(g).values == brute_force_solve(g).values
         for n in range(2, 13):
@@ -448,19 +449,40 @@ class TestSolveValues:
                 assert solve_values(g).values == {v: Fraction(total, n) for v in range(n)}
 
     @pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
-    def test_failed_verifications_keep_values_and_probes_bounded(self, model, monkeypatch):
-        # Bounds loosened to integers are still valid but rarely exact, so
-        # most verification probes settle nothing.  The values must not
-        # change, and each game takes at most twice the probes it takes
-        # without verification.  The loosened bounds can sit on the wrong
-        # side of a probe, so the side check is off.
+    def test_bounds_bracket_every_value(self, model, monkeypatch):
+        # Every bound of both passes brackets the vertex's value.  A band
+        # keeps the ``orig_ids`` of its vertices, which in a generated game
+        # are the vertices themselves.
+        real = solver_module._cycle_mean_bounds
+        seen = []
+
+        def recorded(band, region, strategy, upper):
+            bounds, reply = real(band, region, strategy, upper)
+            seen.extend((band.orig_ids[v], Fraction(x, y), upper) for v, (x, y) in bounds)
+            return bounds, reply
+
+        monkeypatch.setattr(solver_module, "_cycle_mean_bounds", recorded)
+        checked = 0
+        for g in small_corpus(120, seed0=18, max_n=9, model=model):
+            want = brute_force_solve(g).values
+            seen.clear()
+            solve_values(g)
+            for v, bound, upper in seen:
+                assert want[v] <= bound if upper else bound <= want[v], (v, bound, upper)
+            checked += len(seen)
+        assert checked > 0
+
+    @pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
+    def test_loosened_bounds_keep_values_and_probes_bounded(self, model, monkeypatch):
+        # Bounds from both passes, rounded outwards to integers, are still
+        # valid but rarely exact.  The values must not change, and no game
+        # takes more probes than without bounds.  The rounded bounds can sit
+        # on the wrong side of a probe, so the side check is off.
         real = solver_module._cycle_mean_bounds
 
         def loosened(g, region, strategy, upper):
-            return [
-                (v, (-(-x // y) if upper else x // y, 1))
-                for v, (x, y) in real(g, region, strategy, upper)
-            ]
+            bounds, reply = real(g, region, strategy, upper)
+            return [(v, (-(-x // y) if upper else x // y, 1)) for v, (x, y) in bounds], reply
 
         monkeypatch.setattr(solver_module, "_cycle_mean_bounds", loosened)
         calls = count_probes(monkeypatch)
@@ -475,28 +497,34 @@ class TestSolveValues:
                 counts.append(len(calls))
             return counts
 
-        verified = probes_per_game()
-        monkeypatch.setattr(solver_module, "_shared_bound", lambda *args: None)
-        unverified = probes_per_game()
-        assert all(x <= 2 * y for x, y in zip(verified, unverified))
-        # The loosened bounds leave verification something to fail at.
-        assert sum(verified) > sum(unverified)
+        bounded = probes_per_game()
+        monkeypatch.setattr(solver_module, "_cycle_mean_bounds", lambda *args: ([], {}))
+        unbounded = probes_per_game()
+        assert all(x <= y for x, y in zip(bounded, unbounded))
+        # The loosened bounds still settle some vertices before the search.
+        assert sum(bounded) < sum(unbounded)
 
-    def test_shared_bound_counts_only_what_a_probe_could_confirm(self):
-        weak, strict = ThresholdMode.WEAK, ThresholdMode.STRICT
-        # Vertices 2-4 are settled at 5; 1/6 has a denominator above the
-        # band's size.
-        verts = (0, 1, 2, 3, 4)
-        lower = [(1, 6), (1, 3)] + [(5, 1)] * 3
-        upper = [(2, 1), (2, 1)] + [(5, 1)] * 3
-        assert _shared_bound(verts, lower, upper, set()) == ((2, 1), strict)
-        assert _shared_bound(verts, lower, upper, {((2, 1), strict)}) == ((1, 3), weak)
-        tried = {((2, 1), strict), ((1, 3), weak)}
-        assert _shared_bound(verts, lower, upper, tried) is None
+    @pytest.mark.parametrize("excess, message", [(1, "wrong side"), (-1, "bounds cross")])
+    def test_cheap_checks_catch_unsound_upper_bounds(self, excess, message, monkeypatch):
+        # Upper bounds of W + 1 lie above every probe, which the side check
+        # catches; upper bounds of -W - 1 pass it but fall below the lower
+        # bounds -W, which the crossing check catches.
+        g = values_games()[0]
+        real = solver_module._cycle_mean_bounds
+
+        def unsound(band, region, strategy, upper):
+            bounds, reply = real(band, region, strategy, upper)
+            if upper:
+                bounds = [(v, (excess * (g.W + 1), 1)) for v, _ in bounds]
+            return bounds, reply
+
+        monkeypatch.setattr(solver_module, "_cycle_mean_bounds", unsound)
+        with pytest.raises(SolverInternalError, match=message):
+            solve_values(g)
 
     def test_full_assertions_on_values_games(self):
-        # FULL runs the side check on every bound of every probe, the
-        # verification probes included, plus the certificate checks.
+        # FULL runs the side check on every region bound and the crossing
+        # check on every best-response bound, plus the certificate checks.
         opts = dict(opt_init=True, opt_bulk=True, remember_potentials=True)
         for g in values_games():
             want = solve_values(g, SolverConfig(**opts)).values
@@ -517,7 +545,7 @@ class TestSolveValues:
                         strategy[v] = len(edges)
                     edges.append((v, g.edst[e], g.eweight[e]))
                 one = Game(g.owners, edges)
-                bounds = _cycle_mean_bounds(
+                bounds, _ = _cycle_mean_bounds(
                     one, frozenset(range(one.n)), strategy, fixed is Player.MIN
                 )
                 want = brute_force_solve(one).values
@@ -551,11 +579,25 @@ class TestCycleMeanBounds:
 
     @staticmethod
     def bounds_and_succ(owners: list, edges: list, fixed: Player):
-        """Bounds with ``fixed`` held to its first edge, and the graph they use."""
+        """Bounds with ``fixed`` held to its first edge, and the graph they use.
+
+        Also follows the returned reply, with the fixed edges, from every
+        vertex: the cycle it reaches must have that vertex's bound as its mean.
+        """
         g = Game(owners, edges)
         strategy = {v: g.out[v][0] for v in range(g.n) if owners[v] is fixed}
         upper = fixed is Player.MIN
-        bounds = _cycle_mean_bounds(g, frozenset(range(g.n)), strategy, upper)
+        bounds, reply = _cycle_mean_bounds(g, frozenset(range(g.n)), strategy, upper)
+        assert sorted(reply) == [v for v in range(g.n) if owners[v] is not fixed]
+        play = {**strategy, **reply}
+        for v, bound in bounds:
+            at, u = {}, v
+            while u not in at:
+                at[u] = len(at)
+                u = g.edst[play[u]]
+            cycle = list(at)[at[u]:]
+            mean = Fraction(sum(g.eweight[play[u]] for u in cycle), len(cycle))
+            assert bound == (mean.numerator, mean.denominator), v
         sign = 1 if upper else -1
         succ = [
             [(g.edst[e], sign * g.eweight[e]) for e in ([strategy[v]] if v in strategy else g.out[v])]
