@@ -16,7 +16,6 @@ from .game import (
     preprocess_no_zero_cycles,
     restrict,
     serialize_game,
-    serialize_potential,
 )
 from .generators import GenParams, Model, Rng, gen_random
 from .oracles import (

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -288,16 +288,13 @@ def preprocess_no_zero_cycles(g: Game, mode: ThresholdMode) -> Game:
     return g.with_weights([w * mult + shift for w in g.eweight])
 
 
-def apply_potential(g: Game, phi: Mapping[int, int]) -> Game:
-    """Reweight each edge (v, v') to w + phi(v') - phi(v); structure unchanged.
+def apply_potential(g: Game, phi: Sequence[int]) -> Game:
+    """Reweight each edge (v, v') to w + phi[v'] - phi[v]; structure unchanged.
 
-    Cycle totals are preserved.  Vertices missing from ``phi`` count as 0.
+    ``phi`` holds one potential per vertex.  Cycle totals are preserved.
     """
-    get = phi.get
     esrc, edst, ew = g.esrc, g.edst, g.eweight
-    return g.with_weights(
-        [ew[e] + get(edst[e], 0) - get(esrc[e], 0) for e in range(g.m)]
-    )
+    return g.with_weights([ew[e] + phi[edst[e]] - phi[esrc[e]] for e in range(g.m)])
 
 
 _OPPONENT = {Player.MIN: Player.MAX, Player.MAX: Player.MIN}
@@ -354,10 +351,14 @@ def restrict(g: Game, keep: Iterable[int], shift: Sequence[int] | None = None) -
     )
 
 
-def parse_potential(data: bytes | str, g: Game) -> dict[int, int]:
-    """Parse ``<vertex-id> <int64>`` lines into a potential keyed by dense index."""
+def parse_potential(data: bytes | str, g: Game) -> list[int]:
+    """Parse ``<vertex-id> <int64>`` lines into one potential per dense index.
+
+    A vertex without a line gets potential 0.
+    """
     text = data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data
-    phi: dict[int, int] = {}
+    phi = [0] * g.n
+    seen = [False] * g.n
     index_of = {orig: i for i, orig in enumerate(g.orig_ids)}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -371,15 +372,8 @@ def parse_potential(data: bytes | str, g: Game) -> dict[int, int]:
         idx = index_of.get(vid)
         if idx is None:
             raise ParseError(f"unknown vertex {vid}", lineno)
-        if idx in phi:
+        if seen[idx]:
             raise ParseError(f"duplicate vertex {vid}", lineno)
+        seen[idx] = True
         phi[idx] = value
     return phi
-
-
-def serialize_potential(g: Game, phi: Mapping[int, int]) -> bytes:
-    """Emit one ``<vertex-id> <value>`` line per vertex, ascending by original id."""
-    lines = []
-    for v in sorted(range(g.n), key=lambda i: g.orig_ids[i]):
-        lines.append(f"{g.orig_ids[v]} {phi.get(v, 0)}")
-    return ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")

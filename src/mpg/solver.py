@@ -19,7 +19,7 @@ import enum
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
-from typing import Callable
+from typing import Callable, Iterable
 
 from .backtracking import (
     SolverInternalError,
@@ -33,7 +33,6 @@ from .game import (
     NotASubgameError,
     Player,
     ThresholdMode,
-    apply_potential,
     dual_game,
     preprocess_no_zero_cycles,
     restrict,
@@ -96,21 +95,31 @@ class Stats:
     max_depth: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolveResult:
     """Winning regions with the certifying potential and positional strategies.
 
-    The potential is total; relabeling the solved game by it yields a reduced
-    game whose ZN zone is ``min_region``.  Strategies map each winning vertex
-    of its owner to the edge id to play.
+    ``sides[v]`` is 1 if Min wins v and -1 if Max does, the format of
+    ``Zones.side``; ``potential[v]`` is v's potential.  Relabeling the solved
+    game by it yields a reduced game whose ZN zone is ``min_region``.
+    Strategies map each winning vertex of its owner to the edge id to play.
     """
 
-    min_region: frozenset
-    max_region: frozenset
-    potential: dict
+    sides: tuple
+    potential: tuple
     min_strategy: dict
     max_strategy: dict
     stats: Stats
+
+    @property
+    def min_region(self) -> frozenset:
+        """The vertices Min wins, built from ``sides`` on each access."""
+        return frozenset(v for v, s in enumerate(self.sides) if s > 0)
+
+    @property
+    def max_region(self) -> frozenset:
+        """The vertices Max wins, built from ``sides`` on each access."""
+        return frozenset(v for v, s in enumerate(self.sides) if s < 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -422,57 +431,36 @@ def reduce_game(
     """
     cfg = cfg or SolverConfig()
     stats = Stats()
-    if g.n == 0:
-        return SolveResult(frozenset(), frozenset(), {}, {}, {}, stats)
-    sides, phi = _drive(g, cfg, stats, on_sup_values)
-    result = SolveResult(
-        min_region=frozenset(v for v in range(g.n) if sides[v] > 0),
-        max_region=frozenset(v for v in range(g.n) if sides[v] < 0),
-        potential={v: phi[v] for v in range(g.n)},
-        min_strategy={},
-        max_strategy={},
-        stats=stats,
-    )
-    return derive_strategies(g, result)
+    sides, phi = _drive(g, cfg, stats, on_sup_values) if g.n else ([], [])
+    return SolveResult(tuple(sides), tuple(phi), *derive_strategies(g, sides, phi), stats)
 
 
-def derive_strategies(g: Game, res: SolveResult) -> SolveResult:
-    """Fill positional strategies from the certificate.
+def derive_strategies(g: Game, sides, phi) -> tuple:
+    """Positional strategies ``(min_strategy, max_strategy)`` from a certificate.
 
-    Each winning Min vertex picks an edge whose potential-modified weight is
-    <= 0 and stays inside the Min region (such an edge exists because the
-    relabeled game is reduced); Max dually.  Ties break on the lowest
-    (src, dst, weight) triple, then edge id.
+    Each winning Min vertex v picks an edge e to a vertex d of the Min region
+    whose potential-modified weight ``w(e) + phi[d] - phi[v]`` is <= 0 (such
+    an edge exists because the relabeled game is reduced); Max dually, >= 0.
+    Ties break on the lowest (dst, weight) pair, then edge id.
     """
-    mod = apply_potential(g, res.potential).eweight
-
-    def pick(region: frozenset, owner: Player, keep_nonpositive: bool) -> dict:
-        strat = {}
-        for v in sorted(region):
-            if g.owners[v] is not owner:
-                continue
-            best = None
-            for e in g.out[v]:
-                if g.edst[e] not in region:
-                    continue
-                ok = mod[e] <= 0 if keep_nonpositive else mod[e] >= 0
-                if not ok:
-                    continue
-                key = (v, g.edst[e], g.eweight[e], e)
+    owners, out, edst, ew = g.owners, g.out, g.edst, g.eweight
+    strategies = {Player.MIN: {}, Player.MAX: {}}
+    for v, side in enumerate(sides):
+        owner = owners[v]
+        if (owner is Player.MIN) != (side > 0):
+            continue
+        pv = phi[v]
+        best = None
+        for e in out[v]:
+            d = edst[e]
+            if sides[d] == side and side * (ew[e] + phi[d] - pv) <= 0:
+                key = (d, ew[e], e)
                 if best is None or key < best:
                     best = key
-            if best is None:
-                raise SolverInternalError(
-                    f"certificate admits no safe edge for winning vertex {v}"
-                )
-            strat[v] = best[3]
-        return strat
-
-    return replace(
-        res,
-        min_strategy=pick(res.min_region, Player.MIN, True),
-        max_strategy=pick(res.max_region, Player.MAX, False),
-    )
+        if best is None:
+            raise SolverInternalError(f"certificate admits no safe edge for winning vertex {v}")
+        strategies[owner][v] = best[2]
+    return strategies[Player.MIN], strategies[Player.MAX]
 
 
 def solve_threshold(
@@ -519,10 +507,12 @@ def solve_values(g: Game, cfg: SolverConfig | None = None) -> ValueResult:
     bounds the value from above, so this best-response pass gives every
     band vertex an upper bound.  Max dually gets one strategy from the
     certificate's on the Max region, a Min-trap, and its best response on
-    the Min region, which gives every vertex a lower bound.  A vertex is
-    settled when its two bounds are equal: they meet, or a rule below finds
-    the value and writes it as both.  A band of settled vertices is not
-    probed again; they stay in it so that it remains a subgame.
+    the Min region, which gives every vertex a lower bound.  The region pass
+    on the Min region is a closed part of the best-response pass that gives
+    the upper bounds, so ``probe`` makes three one-player solves, not four.
+    A vertex is settled when its two bounds are equal: they meet, or a rule
+    below finds the value and writes it as both.  A band of settled vertices
+    is not probed again; they stay in it so that it remains a subgame.
 
     Vertices the bounds leave open go on through the search.  A group of k
     vertices with bracket (lo, hi] takes one regular probe by the first rule
@@ -556,38 +546,38 @@ def solve_values(g: Game, cfg: SolverConfig | None = None) -> ValueResult:
     lower = [(-w_bound, 1)] * n
     upper = [(w_bound, 1)] * n
 
-    def probe(verts: tuple, p: int, q: int, mode: ThresholdMode) -> frozenset:
-        """Threshold regions of the band ``verts``, which is sorted; tightens bounds.
+    def probe(verts: tuple, p: int, q: int, mode: ThresholdMode) -> tuple:
+        """Threshold ``sides`` of the band ``verts``, which is sorted; tightens bounds.
 
-        Returns the full-game ids of the band's ``min_region``.
+        Three one-player solves follow: (1) Min's reply on the Max region to
+        the certificate's Max strategy, whose lower bounds the side check
+        reads; (2) Max's reply on the band to the certificate's Min strategy
+        plus (1)'s reply: upper bounds, the side check's on the Min region;
+        (3) Min's reply on the band to the certificate's Max strategy plus
+        (2)'s reply on the Min region: lower bounds.  On the Min region (2) is
+        the region pass, as (1) is on the Max region: the region is closed
+        under Min's strategy, a Howard move at a vertex reads only its
+        successors, and a cycle's lowest vertex is the same in the region's
+        sorted order as in the band's, so every round moves the region's
+        vertices as a solve of the region alone would.
         """
         band = g if len(verts) == n else restrict(g, verts)
         scaled = band.with_weights([q * w - p for w in band.eweight])
         res = solve_threshold(scaled, replace(cfg, threshold_mode=mode))
+        sides = res.sides
         strict = mode is ThresholdMode.STRICT
-        # Region pass: the side check, and the free player's best response.
-        reply = {}
-        for region, strategy, is_upper in (
-            (res.min_region, res.min_strategy, True),
-            (res.max_region, res.max_strategy, False),
-        ):
-            side, free = (1, Player.MAX) if is_upper else (-1, Player.MIN)
-            bounds, reply[free] = _cycle_mean_bounds(band, region, strategy, is_upper)
-            for _, (x, y) in bounds:
-                # WEAK: upper bounds are <= p/q and lower bounds > p/q;
-                # STRICT: upper bounds are < p/q and lower bounds >= p/q.
+
+        def side_check(bounds: list, side: int) -> None:
+            # WEAK: upper bounds are <= p/q and lower bounds > p/q;
+            # STRICT: upper bounds are < p/q and lower bounds >= p/q.
+            for i, (x, y) in bounds:
                 gap = side * (x * q - p * y)
-                if cheap and (gap > 0 or (gap == 0 and strict is is_upper)):
+                if sides[i] == side and (gap > 0 or (gap == 0 and strict is (side > 0))):
                     raise SolverInternalError(f"bound {x}/{y} on the wrong side of {p}/{q}")
-        # Best-response pass over the whole band; on each player's own
-        # region it repeats the region pass's bounds.
-        whole = frozenset(range(len(verts)))
-        for strategy, is_upper in (
-            (res.min_strategy | reply[Player.MIN], True),
-            (res.max_strategy | reply[Player.MAX], False),
-        ):
-            bound, side = (upper, 1) if is_upper else (lower, -1)
-            for i, (x, y) in _cycle_mean_bounds(band, whole, strategy, is_upper)[0]:
+
+        def tighten(bounds: list, side: int) -> None:
+            bound = upper if side > 0 else lower
+            for i, (x, y) in bounds:
                 v = verts[i]
                 bx, by = bound[v]
                 if side * (x * by - bx * y) < 0:
@@ -595,12 +585,22 @@ def solve_values(g: Game, cfg: SolverConfig | None = None) -> ValueResult:
                     (lx, ly), (ux, uy) = lower[v], upper[v]
                     if cheap and lx * uy > ux * ly:
                         raise SolverInternalError(f"bounds cross at vertex {v}")
-        return frozenset(verts[i] for i in res.min_region)
 
-    def split(verts: tuple, inside: frozenset) -> tuple:
+        whole = range(len(verts))
+        bounds, reply = _cycle_mean_bounds(band, res.max_region, res.max_strategy, False)
+        if cheap:
+            side_check(bounds, -1)
+        bounds, reply = _cycle_mean_bounds(band, whole, res.min_strategy | reply, True)
+        if cheap:
+            side_check(bounds, 1)
+        tighten(bounds, 1)
+        tighten(_cycle_mean_bounds(band, whole, reply | res.max_strategy, False)[0], -1)
+        return sides
+
+    def split(verts: tuple, sides: tuple) -> tuple:
         return (
-            tuple(v for v in verts if v in inside),
-            tuple(v for v in verts if v not in inside),
+            tuple(v for v, s in zip(verts, sides) if s > 0),
+            tuple(v for v, s in zip(verts, sides) if s < 0),
         )
 
     # A group is (vertices, lo, hi): the values lie in (lo, hi].  Brackets
@@ -636,7 +636,7 @@ def solve_values(g: Game, cfg: SolverConfig | None = None) -> ValueResult:
     return ValueResult(tuple(distinct[pq] for pq in lower))
 
 
-def _cycle_mean_bounds(g: Game, region: frozenset, strategy: dict, upper: bool) -> tuple:
+def _cycle_mean_bounds(g: Game, region: Iterable, strategy: dict, upper: bool) -> tuple:
     """Best cycle mean each vertex of ``region`` can reach against ``strategy``.
 
     ``strategy`` fixes one edge per vertex of one player inside ``region``;
@@ -665,8 +665,7 @@ def _cycle_mean_bounds(g: Game, region: frozenset, strategy: dict, upper: bool) 
     summing q*w - p <= bias(v) - bias(u) over its edges (v, u) puts its mean
     at most p/q, while the gain is itself the mean of a reachable cycle.  A
     round costs O(n + m), but no polynomial bound on the number of rounds is
-    known (Hansen & Zwick, 2010, give Omega(n^2) rounds), whereas Karp's
-    formula took a guaranteed Theta(k*m) per component.
+    known (Hansen & Zwick, 2010, give Omega(n^2) rounds).
     """
     verts = sorted(region)
     index = {v: i for i, v in enumerate(verts)}

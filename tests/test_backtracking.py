@@ -141,7 +141,7 @@ class TestAttractAndReduce:
             if compute_zones(sub).ZN:
                 continue
             phi = attract_max(g, {v: 0 for v in seed})
-            inner = restrict(apply_potential(g, phi), phi)
+            inner = restrict(apply_potential(g, [phi.get(v, 0) for v in range(g.n)]), phi)
             assert not compute_zones(inner).N
             assert is_trap(g, phi, Player.MIN)
             hits += 1
@@ -161,7 +161,7 @@ class TestAttractAndReduce:
             dual_phi = attract_max(dual_game(g), {v: 0 for v in closed})
             phi = {v: -x for v, x in dual_phi.items()}
             assert phi.keys() >= closed
-            inner = restrict(apply_potential(g, phi), phi)
+            inner = restrict(apply_potential(g, [phi.get(v, 0) for v in range(g.n)]), phi)
             assert not compute_zones(inner).P
             assert is_trap(g, phi, Player.MAX)
             hits += 1

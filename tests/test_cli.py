@@ -25,7 +25,6 @@ from mpg import (
     gen_random,
     parse_game,
     serialize_game,
-    serialize_potential,
     solve_threshold,
 )
 from mpg.cli import BENCH_HEADER, _config_from_args, build_parser, main
@@ -207,7 +206,7 @@ class TestCheck:
         gpath.write_bytes(serialize_game(game))
         ppath = tmp_path / "phi.pot"
         # The potential `solve --json` emits for G3; it certifies (n+1)*w - 1.
-        ppath.write_bytes(serialize_potential(game, {0: 5, 1: 0}))
+        ppath.write_text("0 5\n1 0\n")
         assert main(["check", str(gpath), str(ppath)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["reduced"] is True

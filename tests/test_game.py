@@ -25,7 +25,6 @@ from mpg import (
     preprocess_no_zero_cycles,
     restrict,
     serialize_game,
-    serialize_potential,
 )
 from conftest import (
     G1_TEXT,
@@ -268,7 +267,7 @@ class TestApplyPotential:
         assert out.eweight == (0, -1)
 
     def test_zero_potential_is_identity(self, g5):
-        assert canonical(apply_potential(g5, {})) == canonical(g5)
+        assert canonical(apply_potential(g5, [0] * g5.n)) == canonical(g5)
 
     def test_self_loop_unchanged(self, g1):
         out = apply_potential(g1, {0: 12345})
@@ -325,8 +324,7 @@ class TestRestrict:
         rng = Rng(5)
         for g in small_corpus(80, seed0=40, max_n=9):
             for keep, shift in subgame_views(g, rng):
-                phi = dict(enumerate(shift or []))
-                h = apply_potential(g, phi)
+                h = apply_potential(g, shift or [0] * g.n)
                 index = {v: i for i, v in enumerate(keep)}
                 edges = [
                     (index[v], index[h.edst[e]], h.eweight[e])
@@ -455,9 +453,10 @@ class TestGameBasics:
 
 class TestPotentialFiles:
     def test_round_trip(self, g5):
-        phi = {0: 4, 1: -2, 2: 0, 3: 9}
-        data = serialize_potential(g5, phi)
-        assert parse_potential(data, g5) == phi
+        assert parse_potential("0 4\n1 -2\n2 0\n3 9\n", g5) == [4, -2, 0, 9]
+
+    def test_omitted_vertex_reads_zero(self, g3):
+        assert parse_potential("1 3\n", g3) == [0, 3]
 
     def test_unknown_vertex(self, g1):
         with pytest.raises(ParseError, match="unknown vertex 5"):
@@ -487,4 +486,4 @@ class TestPotentialFiles:
 
     def test_uses_original_ids(self):
         g = parse_game("mpg 1\nvertex 7 MIN\nedge 7 7 -1\n")
-        assert parse_potential("7 11\n", g) == {0: 11}
+        assert parse_potential("7 11\n", g) == [11]

@@ -66,14 +66,14 @@ def reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
-@pytest.mark.parametrize("workload", ["values", "threshold-small", "cli-large"])
-def test_traced_values_run_reports_every_per_layer_metric(tmp_path, workload):
+def run_workload(tmp_path, workload: str, trace: str) -> dict:
+    """One round of ``workload`` on a copy of the checkout; its result line."""
     # A copy of the checkout, so the run's output files stay out of the tree.
     shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
     shutil.copytree(BENCH, tmp_path / "perfbench", ignore=shutil.ignore_patterns("out", "__pycache__"))
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", "1", "--seconds", "0", "--trace", "1"],
+         "--seed", "1", "--seconds", "0", "--trace", trace],
         cwd=tmp_path, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
@@ -81,5 +81,18 @@ def test_traced_values_run_reports_every_per_layer_metric(tmp_path, workload):
     result = json.loads(proc.stdout.strip().splitlines()[-1], parse_constant=reject_constant)
     assert result["correct"] is True
     assert result["failed"] == 0
+    return result
+
+
+@pytest.mark.parametrize("workload", ["values", "threshold-small", "cli-large"])
+def test_traced_values_run_reports_every_per_layer_metric(tmp_path, workload):
+    result = run_workload(tmp_path, workload, "1")
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert {m["name"] for m in declared} - set(result["metrics"]) == set()
+
+
+def test_untraced_values_run_reports_every_end_to_end_metric(tmp_path):
+    # The benchmark's gated runs are untraced.
+    result = run_workload(tmp_path, "values", "0")
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     assert {m["name"] for m in declared} - set(result["metrics"]) == set()

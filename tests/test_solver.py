@@ -102,24 +102,24 @@ class TestReduceGame:
     def test_already_reduced_game(self, g1):
         res = reduce_game(g1, FULL)
         assert res.min_region == {0} and res.max_region == frozenset()
-        assert res.potential == {0: 0}
+        assert res.potential == (0,)
         assert res.stats.potential_reductions == 0
 
     def test_two_vertex_relabeling(self, g3):
         res = reduce_game(g3, FULL)
         assert res.min_region == {0, 1} and res.max_region == frozenset()
-        assert res.potential == {0: 2, 1: 0}
+        assert res.potential == (2, 0)
 
     def test_attractor_branch(self, g8):
         res = reduce_game(g8, BASELINE_FULL)
         assert res.min_region == frozenset() and res.max_region == {0, 1, 2}
-        assert res.potential == {0: -1, 1: 0, 2: 0}
+        assert res.potential == (-1, 0, 0)
         assert res.stats.attractor_calls >= 1
 
     def test_max_escape_branch(self, g9):
         res = reduce_game(g9, BASELINE_FULL)
         assert res.min_region == {0, 1} and res.max_region == frozenset()
-        assert res.potential == {0: 0, 1: 1}
+        assert res.potential == (0, 1)
         assert res.stats.escapes_fixed >= 1
         assert res.stats.potential_reductions >= 1
 
@@ -127,7 +127,7 @@ class TestReduceGame:
         g = parse_game("mpg 1\n")
         res = reduce_game(g, FULL)
         assert res.min_region == res.max_region == frozenset()
-        assert res.potential == {}
+        assert res.potential == ()
 
     def test_regions_match_oracle_on_corpus(self):
         for g in no_zero_cycles(300, seed0=7):
@@ -142,6 +142,17 @@ class TestReduceGame:
             z = compute_zones(relabeled)
             assert is_reduced(relabeled, z)
             assert z.ZN == res.min_region and z.ZP == res.max_region
+
+    def test_result_layout(self):
+        # The answer is kept per vertex; the regions are read off ``sides``.
+        for g in no_zero_cycles(40, seed0=10):
+            res = reduce_game(g, FULL)
+            assert type(res.sides) is tuple and set(res.sides) <= {1, -1}
+            assert type(res.potential) is tuple and len(res.potential) == g.n
+            assert res.min_region | res.max_region == set(range(g.n))
+            assert not res.min_region & res.max_region
+            assert res.min_region == {v for v, s in enumerate(res.sides) if s == 1}
+            assert not hasattr(res, "__dict__")
 
     def test_determinism(self):
         for g in no_zero_cycles(40, seed0=9):
@@ -391,6 +402,59 @@ class TestSolveValues:
             solve_values(g, cfg)
         assert len(calls) == 14
         assert hashlib.sha256(repr(calls).encode()).hexdigest()[:16] == "500073f504c98929"
+
+    def test_three_one_player_solves_per_probe(self, monkeypatch):
+        # Max's region pass is the Min region's part of the pass that gives
+        # the upper bounds, so it is not run on its own.
+        solves = []
+        real = solver_module._cycle_mean_bounds
+
+        def counted(*args):
+            solves.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(solver_module, "_cycle_mean_bounds", counted)
+        calls = count_probes(monkeypatch)
+        cfg = SolverConfig(
+            policy=Policy.SMALLER_ZONE, opt_init=True, opt_bulk=True, remember_potentials=True
+        )
+        for g in values_games():
+            solve_values(g, cfg)
+        assert len(calls) == 14
+        assert len(solves) == 3 * len(calls)
+
+    @pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
+    def test_upper_pass_repeats_the_min_region_pass(self, model, monkeypatch):
+        # On the Min region, closed under Min's strategy, the pass over the
+        # whole band must find the bounds and Max's reply that a pass over
+        # the region alone finds.
+        real_bounds = solver_module._cycle_mean_bounds
+        real_solve = solver_module.solve_threshold
+        last = []
+        checked = 0
+
+        def recorded(game, cfg=None, **kwargs):
+            last[:] = [real_solve(game, cfg, **kwargs)]
+            return last[0]
+
+        def compared(band, region, strategy, upper):
+            nonlocal checked
+            bounds, reply = real_bounds(band, region, strategy, upper)
+            if upper:
+                inside = last[0].min_region
+                alone = real_bounds(band, inside, last[0].min_strategy, True)
+                assert alone == (
+                    [(i, b) for i, b in bounds if i in inside],
+                    {v: e for v, e in reply.items() if v in inside},
+                )
+                checked += bool(inside)
+            return bounds, reply
+
+        monkeypatch.setattr(solver_module, "solve_threshold", recorded)
+        monkeypatch.setattr(solver_module, "_cycle_mean_bounds", compared)
+        for g in small_corpus(80, seed0=18, max_n=9, model=model) + values_games():
+            solve_values(g, BASELINE)
+        assert checked > 0
 
     def test_search_alone_probes_within_its_bound(self, monkeypatch):
         # Without bounds an n-cycle of total t takes the integer bisection
@@ -683,9 +747,8 @@ class TestDeriveStrategies:
 
     def test_rederivation_is_idempotent(self, g8):
         res = reduce_game(g8, FULL)
-        again = solver_module.derive_strategies(g8, res)
-        assert again.min_strategy == res.min_strategy
-        assert again.max_strategy == res.max_strategy
+        again = solver_module.derive_strategies(g8, res.sides, res.potential)
+        assert again == (res.min_strategy, res.max_strategy)
 
 
 class TestAssertionMachinery:
@@ -797,7 +860,7 @@ class TestWorkCounters:
             for cfg in all_configs() + all_configs(AssertLevel.FULL):
                 res = solve_threshold(g, cfg)
                 digest.update(repr((
-                    res.stats, sorted(res.potential.items()),
+                    res.stats, list(enumerate(res.potential)),
                     sorted(res.min_strategy.items()), sorted(res.max_strategy.items()),
                 )).encode())
         assert digest.hexdigest() == (
