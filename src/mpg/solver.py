@@ -33,11 +33,12 @@ from .game import (
     NotASubgameError,
     Player,
     ThresholdMode,
+    apply_potential,
     dual_game,
     preprocess_no_zero_cycles,
     restrict,
 )
-from .zones import Zones, compute_zones, is_reduced, reduced_at
+from .zones import compute_zones, is_reduced, reduced_at
 
 
 class Policy(enum.Enum):
@@ -166,13 +167,6 @@ def _assert_certificate(g: Game, keep, shift, sides: list) -> None:
         raise SolverInternalError("certificate check failed: regions mismatch zones")
 
 
-def _entry_reduced(g: Game, z: Zones, shift, full: bool) -> bool:
-    """``z.reduced``; under FULL assertions first re-derived by ``is_reduced``."""
-    if full and z.reduced != is_reduced(g, z, shift):
-        raise SolverInternalError("entry test disagrees with is_reduced")
-    return z.reduced
-
-
 def _hint_holds(g: Game, shift, sides: list, gone: list) -> bool:
     """True if ``sides`` still meets the reduced rule once ``gone`` has left.
 
@@ -242,7 +236,8 @@ def _sup_loop(gl, cls, cfg, stats, depth, hook):
             if hook is not None:
                 hook(gl, {v: val[v] for v in range(n)}, depth)
             return None, val
-        # Children after the first start from the previous potentials, if remembered.
+        # Later children start from the previous potentials, if remembered; the
+        # first's are all zero, and ``restrict`` sums no shift when it is None.
         shift = pred_phi if cfg.remember_potentials and guard > 1 else None
         for v in gone:
             sides[v] = 0
@@ -327,11 +322,13 @@ def _frame(view: tuple, cfg: SolverConfig, stats: Stats, depth: int, hook):
     """One recursion level; yields child views, returns ``(sides, phi)`` lists.
 
     A view is (game, ascending kept vertices, potential shift, hint): the
-    subgame ``restrict(game, kept, shift)``, or the game itself when ``kept``
-    is None.  The entry zones are computed on the view, and the subgame is
-    built only if it is not already reduced.  ``sides`` is 1 on the Min
-    region and -1 on the Max region, the format of ``Zones.side``, so
-    flipping a dualised answer back is a negation of both lists.
+    subgame ``restrict(game, kept, shift)``, or ``apply_potential(game,
+    shift)`` when ``kept`` is None.  Each pass of the frame's loop computes
+    the view's zones and builds its game, in that one place, only if it is
+    not reduced; a relabel restart makes the peak values the view's shift.
+    ``sides`` is 1 on the Min region and -1 on the Max region, the format
+    of ``Zones.side``, so flipping a dualised answer back is a negation of
+    both lists.
 
     A hint ``(sides, gone)`` (see ``_sup_loop``) is a side assignment that
     met ``is_reduced``'s per-vertex rule on a view that has since lost the
@@ -354,19 +351,29 @@ def _frame(view: tuple, cfg: SolverConfig, stats: Stats, depth: int, hook):
         if full:
             _assert_certificate(g, keep, shift, sides)
         return sides, [0] * len(keep)
-    try:
-        zones = compute_zones(g, keep, shift)
-    except NotASubgameError as exc:
-        raise SolverInternalError(f"remainder is {exc}") from None
     n = g.n if keep is None else len(keep)
     acc = [0] * n
     restarts = 0
-    while not _entry_reduced(g, zones, shift, full):
+    while True:
+        try:
+            zones = compute_zones(g, keep, shift)
+        except NotASubgameError as exc:
+            raise SolverInternalError(f"remainder is {exc}") from None
+        # After a restart, every vertex left in N or P must come from the loop's N.
+        if cheap and restarts and any(c and s >= 0 for c, s in zip(zones.cls, cls)):
+            raise SolverInternalError("zones failed to shrink into the relabeled zone")
+        if full and zones.reduced != is_reduced(g, zones, shift):
+            raise SolverInternalError("entry test disagrees with is_reduced")
+        if zones.reduced:
+            side = zones.side
+            return (side if keep is None else [side[v] for v in keep]), acc
         cls = zones.cls
         if keep is not None:
             g = restrict(g, keep, shift)
             cls = [cls[v] for v in keep]
-            keep = shift = None
+        elif shift is not None:
+            g = apply_potential(g, shift)
+        keep = shift = None
         restarts += 1
         if restarts > n + 2:
             raise SolverInternalError("relabeling failed to make progress")
@@ -376,20 +383,11 @@ def _frame(view: tuple, cfg: SolverConfig, stats: Stats, depth: int, hook):
         del zones
         outcome, values = yield from _sup_loop(gl, cls, cfg, stats, depth, hook)
         if outcome is None:
-            # Every peak value is finite: relabel by them and start over.
-            step = [-x for x in values] if flip else values
-            g = g.with_weights(
-                [g.eweight[e] + step[g.edst[e]] - step[g.esrc[e]] for e in range(g.m)]
-            )
-            acc = [a + s for a, s in zip(acc, step)]
+            # Every peak value is finite: they become the view's shift.
+            shift = [-x for x in values] if flip else values
+            acc = [a + s for a, s in zip(acc, shift)]
             stats.potential_reductions += 1
             stats.recursive_calls += 1
-            zones = compute_zones(g)
-            # Every vertex left in N or P must come from the loop's N.
-            if cheap and any(c and s >= 0 for c, s in zip(zones.cls, cls)):
-                raise SolverInternalError(
-                    "zones failed to shrink into the relabeled zone"
-                )
             continue
         sides, phi = outcome
         if flip:
@@ -397,8 +395,6 @@ def _frame(view: tuple, cfg: SolverConfig, stats: Stats, depth: int, hook):
         if full:
             _assert_certificate(g, None, phi, sides)
         return sides, [a + p for a, p in zip(acc, phi)]
-    side = zones.side
-    return (side if keep is None else [side[v] for v in keep]), acc
 
 
 def _drive(g: Game, cfg: SolverConfig, stats: Stats, hook):

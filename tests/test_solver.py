@@ -846,6 +846,24 @@ class TestWorkCounters:
     def test_threshold_small_games(self, i):
         assert solve_threshold(threshold_small_game(i), BASELINE).stats == Stats(*self.SMALL[i])
 
+    # Game index -> ``Game.with_weights`` calls of one ``BASELINE`` solve.
+    # One is zero-cycle removal; a relabel restart copies the game only when
+    # its view is not reduced, so these stay below 1 + potential_reductions.
+    COPIES = {4: 5, 7: 3, 12: 3, 15: 4, 20: 5}
+
+    @pytest.mark.parametrize("i", sorted(COPIES))
+    def test_threshold_small_copies(self, i, monkeypatch):
+        calls = []
+        real = Game.with_weights
+
+        def counted(self, weights):
+            calls.append(1)
+            return real(self, weights)
+
+        monkeypatch.setattr(Game, "with_weights", counted)
+        solve_threshold(threshold_small_game(i), BASELINE)
+        assert len(calls) == self.COPIES[i]
+
     def test_all_configurations_digest(self):
         # Regions agree across configurations (test_config_invariance_on_corpus);
         # this pins the rest of each answer, which depends on the escape
