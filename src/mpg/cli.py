@@ -16,7 +16,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import astuple, replace
+from dataclasses import asdict, astuple, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,7 +28,6 @@ from .game import (
     apply_potential,
     parse_game,
     parse_potential,
-    preprocess_no_zero_cycles,
     serialize_game,
 )
 from .generators import GenParams, Model, gen_random
@@ -119,26 +118,22 @@ def _orig_sorted(g: Game, vertices) -> list:
 
 
 def _result_json(g: Game, res: SolveResult) -> dict:
-    def strategy(strat: dict) -> dict:
-        out = {}
-        for v in sorted(strat, key=lambda v: g.orig_ids[v]):
-            e = strat[v]
-            out[str(g.orig_ids[v])] = {
+    order = sorted(range(g.n), key=lambda v: g.orig_ids[v])
+    # Both players' maps in one pass, keyed by the side of the winning owner.
+    strategies = {1: {}, -1: {}}
+    for v in order:
+        if (e := res.strategy[v]) >= 0:
+            strategies[res.sides[v]][str(g.orig_ids[v])] = {
                 "dst": g.orig_ids[g.edst[e]],
                 "weight": g.eweight[e],
             }
-        return out
-
     return {
         "min_region": _orig_sorted(g, res.min_region),
         "max_region": _orig_sorted(g, res.max_region),
-        "potential": {
-            str(g.orig_ids[v]): res.potential[v]
-            for v in sorted(range(g.n), key=lambda v: g.orig_ids[v])
-        },
-        "min_strategy": strategy(res.min_strategy),
-        "max_strategy": strategy(res.max_strategy),
-        "stats": vars(res.stats),
+        "potential": {str(g.orig_ids[v]): res.potential[v] for v in order},
+        "min_strategy": strategies[1],
+        "max_strategy": strategies[-1],
+        "stats": asdict(res.stats),
     }
 
 
@@ -195,7 +190,7 @@ def cmd_check(args) -> int:
     phi = parse_potential(Path(args.potential).read_bytes(), g)
     # `solve` certifies the zero-cycle-free reweighting, so check that game.
     mode = ThresholdMode.STRICT if args.strict_threshold else ThresholdMode.WEAK
-    relabeled = apply_potential(preprocess_no_zero_cycles(g, mode), phi)
+    relabeled = apply_potential(g, phi, mode)
     z = compute_zones(relabeled)
     reduced = is_reduced(relabeled, z)
     doc = {

@@ -172,13 +172,6 @@ def _parse_uint(token: str, lineno: int, what: str) -> int:
     return value
 
 
-def _parse_int64(token: str, lineno: int, what: str) -> int:
-    value = _parse_int(token, lineno, what)
-    if not (INT64_MIN <= value <= INT64_MAX):
-        raise ParseError(f"{what} out of 64-bit signed range: {token}", lineno)
-    return value
-
-
 def parse_game(data: bytes | str) -> Game:
     """Parse the line-based game format.
 
@@ -216,7 +209,9 @@ def parse_game(data: bytes | str) -> Game:
             if v is None or u is None or weight is None or not INT64_MIN <= weight <= INT64_MAX:
                 src = _parse_uint(s, lineno, "edge source")
                 dst = _parse_uint(d, lineno, "edge target")
-                weight = _parse_int64(w, lineno, "edge weight")
+                weight = _parse_int(w, lineno, "edge weight")
+                if not INT64_MIN <= weight <= INT64_MAX:
+                    raise ParseError(f"edge weight out of 64-bit signed range: {w}", lineno)
                 v, u = index_of.get(str(src)), index_of.get(str(dst))
                 for x, i in ((src, v), (dst, u)):
                     if i is None:
@@ -271,6 +266,14 @@ def serialize_game(g: Game) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+def _zero_cycle_scale(g: Game, mode: ThresholdMode) -> tuple:
+    """``(n+1, -1)`` in WEAK mode, ``(n+1, 1)`` in STRICT; raises past the guard."""
+    bound = (g.n + 1) * g.W + 1
+    if bound > PREPROCESS_GUARD:
+        raise OverflowGuardError(f"(n+1)*W+1 = {bound} exceeds the 62-bit weight guard")
+    return g.n + 1, 1 if mode is ThresholdMode.STRICT else -1
+
+
 def preprocess_no_zero_cycles(g: Game, mode: ThresholdMode) -> Game:
     """Reweight so every cycle has nonzero total, preserving nonzero cycle signs.
 
@@ -278,23 +281,21 @@ def preprocess_no_zero_cycles(g: Game, mode: ThresholdMode) -> Game:
     negative) or (n+1)*w + 1 in STRICT mode (they turn positive).  The
     multiplier must exceed every cycle length, hence n+1.
     """
-    bound = (g.n + 1) * g.W + 1
-    if bound > PREPROCESS_GUARD:
-        raise OverflowGuardError(
-            f"(n+1)*W+1 = {bound} exceeds the 62-bit weight guard"
-        )
-    mult = g.n + 1
-    shift = 1 if mode is ThresholdMode.STRICT else -1
-    return g.with_weights([w * mult + shift for w in g.eweight])
+    mult, unit = _zero_cycle_scale(g, mode)
+    return g.with_weights([w * mult + unit for w in g.eweight])
 
 
-def apply_potential(g: Game, phi: Sequence[int]) -> Game:
+def apply_potential(g: Game, phi: Sequence[int], mode: ThresholdMode | None = None) -> Game:
     """Reweight each edge (v, v') to w + phi[v'] - phi[v]; structure unchanged.
 
-    ``phi`` holds one potential per vertex.  Cycle totals are preserved.
+    ``phi`` holds one potential per vertex.  Cycle totals are preserved.  With
+    ``mode``, the same pass first reweights w as ``preprocess_no_zero_cycles``.
     """
-    esrc, edst, ew = g.esrc, g.edst, g.eweight
-    return g.with_weights([ew[e] + phi[edst[e]] - phi[esrc[e]] for e in range(g.m)])
+    rows = zip(g.eweight, g.esrc, g.edst)
+    if mode is None:
+        return g.with_weights([w + phi[d] - phi[v] for w, v, d in rows])
+    mult, unit = _zero_cycle_scale(g, mode)
+    return g.with_weights([w * mult + unit + phi[d] - phi[v] for w, v, d in rows])
 
 
 _OPPONENT = {Player.MIN: Player.MAX, Player.MAX: Player.MIN}
@@ -352,9 +353,10 @@ def restrict(g: Game, keep: Iterable[int], shift: Sequence[int] | None = None) -
 
 
 def parse_potential(data: bytes | str, g: Game) -> list[int]:
-    """Parse ``<vertex-id> <int64>`` lines into one potential per dense index.
+    """Parse ``<vertex-id> <integer>`` lines into one potential per dense index.
 
-    A vertex without a line gets potential 0.
+    A vertex without a line gets potential 0.  A value may be any integer, as
+    the certificate of a game near the weight guard can pass 64 bits.
     """
     text = data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data
     phi = [0] * g.n
@@ -368,7 +370,7 @@ def parse_potential(data: bytes | str, g: Game) -> list[int]:
         if len(fields) != 2:
             raise ParseError("expected '<vertex-id> <value>'", lineno)
         vid = _parse_uint(fields[0], lineno, "vertex id")
-        value = _parse_int64(fields[1], lineno, "potential value")
+        value = _parse_int(fields[1], lineno, "potential value")
         idx = index_of.get(vid)
         if idx is None:
             raise ParseError(f"unknown vertex {vid}", lineno)

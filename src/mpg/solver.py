@@ -67,7 +67,7 @@ class SolverConfig:
     assertions: AssertLevel = AssertLevel.CHEAP
 
 
-@dataclass
+@dataclass(slots=True)
 class Stats:
     """Work counters of one ``reduce_game`` call, one meaning each.
 
@@ -85,6 +85,8 @@ class Stats:
     * ``potential_reductions``: relabel restarts, each after an escape loop
       gave every vertex of its frame a finite peak value.
     * ``max_depth``: deepest frame below the root (the root is depth 0).
+
+    Slotted, with no per-instance ``__dict__``: ``dataclasses.asdict`` reads it.
     """
 
     recursive_calls: int = 0
@@ -103,13 +105,13 @@ class SolveResult:
     ``sides[v]`` is 1 if Min wins v and -1 if Max does, the format of
     ``Zones.side``; ``potential[v]`` is v's potential.  Relabeling the solved
     game by it yields a reduced game whose ZN zone is ``min_region``.
-    Strategies map each winning vertex of its owner to the edge id to play.
+    Strategies are positional: ``strategy[v]`` is the edge id v's owner plays
+    where the owner wins v, and -1 elsewhere, one tuple for both players.
     """
 
     sides: tuple
     potential: tuple
-    min_strategy: dict
-    max_strategy: dict
+    strategy: tuple
     stats: Stats
 
     @property
@@ -121,6 +123,16 @@ class SolveResult:
     def max_region(self) -> frozenset:
         """The vertices Max wins, built from ``sides`` on each access."""
         return frozenset(v for v, s in enumerate(self.sides) if s < 0)
+
+    @property
+    def min_strategy(self) -> dict:
+        """``{vertex: edge id}`` of Min, built from ``strategy`` on each access."""
+        return {v: e for v, e in enumerate(self.strategy) if e >= 0 and self.sides[v] > 0}
+
+    @property
+    def max_strategy(self) -> dict:
+        """``{vertex: edge id}`` of Max, built from ``strategy`` on each access."""
+        return {v: e for v, e in enumerate(self.strategy) if e >= 0 and self.sides[v] < 0}
 
 
 @dataclass(frozen=True, slots=True)
@@ -428,11 +440,11 @@ def reduce_game(
     cfg = cfg or SolverConfig()
     stats = Stats()
     sides, phi = _drive(g, cfg, stats, on_sup_values) if g.n else ([], [])
-    return SolveResult(tuple(sides), tuple(phi), *derive_strategies(g, sides, phi), stats)
+    return SolveResult(tuple(sides), tuple(phi), derive_strategies(g, sides, phi), stats)
 
 
 def derive_strategies(g: Game, sides, phi) -> tuple:
-    """Positional strategies ``(min_strategy, max_strategy)`` from a certificate.
+    """Positional strategies from a certificate, laid out as ``SolveResult.strategy``.
 
     Each winning Min vertex v picks an edge e to a vertex d of the Min region
     whose potential-modified weight ``w(e) + phi[d] - phi[v]`` is <= 0 (such
@@ -440,10 +452,9 @@ def derive_strategies(g: Game, sides, phi) -> tuple:
     Ties break on the lowest (dst, weight) pair, then edge id.
     """
     owners, out, edst, ew = g.owners, g.out, g.edst, g.eweight
-    strategies = {Player.MIN: {}, Player.MAX: {}}
+    strategy = [-1] * len(sides)
     for v, side in enumerate(sides):
-        owner = owners[v]
-        if (owner is Player.MIN) != (side > 0):
+        if (owners[v] is Player.MIN) != (side > 0):
             continue
         pv = phi[v]
         best = None
@@ -455,8 +466,8 @@ def derive_strategies(g: Game, sides, phi) -> tuple:
                     best = key
         if best is None:
             raise SolverInternalError(f"certificate admits no safe edge for winning vertex {v}")
-        strategies[owner][v] = best[2]
-    return strategies[Player.MIN], strategies[Player.MAX]
+        strategy[v] = best[2]
+    return tuple(strategy)
 
 
 def solve_threshold(
@@ -583,14 +594,15 @@ def solve_values(g: Game, cfg: SolverConfig | None = None) -> ValueResult:
                         raise SolverInternalError(f"bounds cross at vertex {v}")
 
         whole = range(len(verts))
-        bounds, reply = _cycle_mean_bounds(band, res.max_region, res.max_strategy, False)
+        max_strategy = res.max_strategy
+        bounds, reply = _cycle_mean_bounds(band, res.max_region, max_strategy, False)
         if cheap:
             side_check(bounds, -1)
         bounds, reply = _cycle_mean_bounds(band, whole, res.min_strategy | reply, True)
         if cheap:
             side_check(bounds, 1)
         tighten(bounds, 1)
-        tighten(_cycle_mean_bounds(band, whole, reply | res.max_strategy, False)[0], -1)
+        tighten(_cycle_mean_bounds(band, whole, reply | max_strategy, False)[0], -1)
         return sides
 
     def split(verts: tuple, sides: tuple) -> tuple:

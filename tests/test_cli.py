@@ -252,6 +252,35 @@ class TestCheck:
             assert doc["min_region"] == solved["min_region"], seed
             assert doc["max_region"] == solved["max_region"], seed
 
+    @staticmethod
+    def guard_chain(n: int, owner: str, sign: int) -> str:
+        """A path of ``sign * W`` edges into a ``-sign * W`` self-loop, with
+        W = (2**62 - 2) // (n + 1), the largest zero-cycle removal takes."""
+        w = sign * ((2**62 - 2) // (n + 1))
+        lines = ["mpg 1", *(f"vertex {v} {owner}" for v in range(n))]
+        lines += [f"edge {v} {v + 1} {w}" for v in range(n - 1)]
+        return "\n".join([*lines, f"edge {n - 1} {n - 1} {-w}", ""])
+
+    @pytest.mark.parametrize("flags", [[], ["--strict-threshold"]], ids=["weak", "strict"])
+    def test_potentials_past_64_bits_round_trip(self, flags, tmp_path, capsys):
+        games = [(8, "MAX", 1)]  # solve gives vertex 0 the potential 32281802128991715293
+        games += [(n, o, s) for n in range(2, 11) for o in ("MIN", "MAX") for s in (1, -1)]
+        widest = 0
+        for n, owner, sign in games:
+            gpath = tmp_path / f"g{n}{owner}{sign}.mpg"
+            gpath.write_text(self.guard_chain(n, owner, sign))
+            assert main(["solve", "--json", str(gpath), *flags]) == 0
+            out = capsys.readouterr().out
+            solved = json.loads(out)
+            widest = max(widest, *map(abs, solved["potential"].values()))
+            ppath = _potential_file(tmp_path / "phi.pot", out)
+            assert main(["check", str(gpath), ppath, *flags]) == 0, (n, owner, sign)
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["reduced"] is True
+            assert doc["min_region"] == solved["min_region"], (n, owner, sign)
+            assert doc["max_region"] == solved["max_region"], (n, owner, sign)
+        assert widest > 2**63
+
     def test_strict_certificate_needs_the_strict_flag(self, g4_file, tmp_path, capsys):
         assert main(["solve", "--json", "--strict-threshold", g4_file]) == 0
         ppath = _potential_file(tmp_path / "g4.pot", capsys.readouterr().out)

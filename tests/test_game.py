@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -248,6 +249,25 @@ class TestPreprocess:
             preprocess_no_zero_cycles(too_big, ThresholdMode.WEAK)
 
     @pytest.mark.parametrize("mode", list(ThresholdMode))
+    def test_relabel_in_the_same_pass(self, mode):
+        # One pass of (n+1)*w -+ 1 + phi[d] - phi[v] builds, edge id for edge
+        # id, the game of preprocessing followed by apply_potential.
+        rng = Rng(17)
+        for g in small_corpus(120, seed0=60, max_n=9, weight_bound=50):
+            # Potentials past 64 bits, as certificates near the guard hold.
+            phi = [rng.randint(-(2**62), 2**62) * 8 for _ in range(g.n)]
+            one = apply_potential(g, phi, mode)
+            two = apply_potential(preprocess_no_zero_cycles(g, mode), phi)
+            assert one.eweight == two.eweight
+            assert (one.esrc, one.edst, one.owners) == (two.esrc, two.edst, two.owners)
+
+    def test_overflow_guard_with_a_potential(self):
+        too_big = parse_game(f"mpg 1\nvertex 0 MIN\nedge 0 0 {(2**62 - 2) // 2 + 1}\n")
+        for mode in ThresholdMode:
+            with pytest.raises(OverflowGuardError):
+                apply_potential(too_big, [0], mode)
+
+    @pytest.mark.parametrize("mode", list(ThresholdMode))
     def test_cycle_signs_exhaustively(self, mode):
         zero_sign = 1 if mode is ThresholdMode.STRICT else -1
         for g in small_corpus(300, seed0=77, max_n=6):
@@ -454,6 +474,20 @@ class TestGameBasics:
 class TestPotentialFiles:
     def test_round_trip(self, g5):
         assert parse_potential("0 4\n1 -2\n2 0\n3 9\n", g5) == [4, -2, 0, 9]
+
+    def test_value_is_any_integer(self, g3):
+        # `solve --json` gives this value to a vertex of a game near the guard.
+        big = 32281802128991715293
+        assert parse_potential(f"0 {big}\n1 -{big * 2**70}\n", g3) == [big, -big * 2**70]
+
+    def test_value_past_the_digit_limit(self, g1):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            with pytest.raises(ParseError, match="line 1: potential value is not an integer"):
+                parse_potential("0 " + "9" * 641 + "\n", g1)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_omitted_vertex_reads_zero(self, g3):
         assert parse_potential("1 3\n", g3) == [0, 3]

@@ -91,8 +91,9 @@ def test_traced_values_run_reports_every_per_layer_metric(tmp_path, workload):
     assert {m["name"] for m in declared} - set(result["metrics"]) == set()
 
 
-def test_untraced_values_run_reports_every_end_to_end_metric(tmp_path):
+@pytest.mark.parametrize("workload", ["values", "threshold-small", "cli-large"])
+def test_untraced_values_run_reports_every_end_to_end_metric(tmp_path, workload):
     # The benchmark's gated runs are untraced.
-    result = run_workload(tmp_path, "values", "0")
+    result = run_workload(tmp_path, workload, "0")
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     assert {m["name"] for m in declared} - set(result["metrics"]) == set()

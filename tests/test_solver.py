@@ -144,7 +144,8 @@ class TestReduceGame:
             assert z.ZN == res.min_region and z.ZP == res.max_region
 
     def test_result_layout(self):
-        # The answer is kept per vertex; the regions are read off ``sides``.
+        # The answer is kept per vertex; the regions and the per-player
+        # strategy maps are read off ``sides`` and ``strategy``.
         for g in no_zero_cycles(40, seed0=10):
             res = reduce_game(g, FULL)
             assert type(res.sides) is tuple and set(res.sides) <= {1, -1}
@@ -152,7 +153,17 @@ class TestReduceGame:
             assert res.min_region | res.max_region == set(range(g.n))
             assert not res.min_region & res.max_region
             assert res.min_region == {v for v, s in enumerate(res.sides) if s == 1}
+            assert type(res.strategy) is tuple and len(res.strategy) == g.n
+            for v, e in enumerate(res.strategy):
+                owner_wins = (g.owners[v] is Player.MIN) == (res.sides[v] > 0)
+                assert (e >= 0) == owner_wins
+                assert e < 0 or (e in g.out[v] and res.sides[g.edst[e]] == res.sides[v])
+            mins, maxs = res.min_strategy, res.max_strategy
+            assert list(mins) == sorted(mins) and list(maxs) == sorted(maxs)
+            assert set(mins) <= res.min_region and set(maxs) <= res.max_region
+            assert mins | maxs == {v: e for v, e in enumerate(res.strategy) if e >= 0}
             assert not hasattr(res, "__dict__")
+            assert not hasattr(res.stats, "__dict__")
 
     def test_determinism(self):
         for g in no_zero_cycles(40, seed0=9):
@@ -748,7 +759,7 @@ class TestDeriveStrategies:
     def test_rederivation_is_idempotent(self, g8):
         res = reduce_game(g8, FULL)
         again = solver_module.derive_strategies(g8, res.sides, res.potential)
-        assert again == (res.min_strategy, res.max_strategy)
+        assert again == res.strategy
 
 
 class TestAssertionMachinery:
