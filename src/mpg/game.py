@@ -298,13 +298,11 @@ def apply_potential(g: Game, phi: Sequence[int], mode: ThresholdMode | None = No
     return g.with_weights([w * mult + unit + phi[d] - phi[v] for w, v, d in rows])
 
 
-_OPPONENT = {Player.MIN: Player.MAX, Player.MAX: Player.MIN}
-
-
 def dual_game(g: Game) -> Game:
     """Swap ownership and negate weights; an involution exchanging the players."""
-    owners = tuple(map(_OPPONENT.__getitem__, g.owners))
-    weights = tuple(-w for w in g.eweight)
+    lo, hi = Player.MIN, Player.MAX
+    owners = tuple([hi if o is lo else lo for o in g.owners])
+    weights = tuple([-w for w in g.eweight])
     return Game._raw(owners, g.esrc, g.edst, weights, g.out, g.inc, g.orig_ids)
 
 

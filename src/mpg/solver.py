@@ -254,11 +254,10 @@ def _sup_loop(gl, cls, cfg, stats, depth, hook):
         for v in gone:
             sides[v] = 0
         sides_rest, phi_rest = yield gl, rest, shift, (sides, gone) if carried else None
-        for x, pv in zip(phi_rest, rest):
-            pred_phi[pv] = x if shift is None else pred_phi[pv] + x
-        carried = cfg.remember_potentials or not any(phi_rest)
-        for v, s in zip(rest, sides_rest):
+        for v, s, x in zip(rest, sides_rest, phi_rest):
             sides[v] = s
+            pred_phi[v] = x if shift is None else pred_phi[v] + x
+        carried = cfg.remember_potentials or not any(phi_rest)
         plus = -1 in sides_rest
         side = [v for v, s in zip(rest, sides_rest) if s < 0] if plus else rest
         owner, sign = (Player.MIN, 1) if plus else (Player.MAX, -1)
@@ -364,7 +363,7 @@ def _frame(view: tuple, cfg: SolverConfig, stats: Stats, depth: int, hook):
             _assert_certificate(g, keep, shift, sides)
         return sides, [0] * len(keep)
     n = g.n if keep is None else len(keep)
-    acc = [0] * n
+    acc = None  # the sum of the relabel shifts, once there is one
     restarts = 0
     while True:
         try:
@@ -378,7 +377,8 @@ def _frame(view: tuple, cfg: SolverConfig, stats: Stats, depth: int, hook):
             raise SolverInternalError("entry test disagrees with is_reduced")
         if zones.reduced:
             side = zones.side
-            return (side if keep is None else [side[v] for v in keep]), acc
+            side = side if keep is None else [side[v] for v in keep]
+            return side, [0] * n if acc is None else acc
         cls = zones.cls
         if keep is not None:
             g = restrict(g, keep, shift)
@@ -397,7 +397,7 @@ def _frame(view: tuple, cfg: SolverConfig, stats: Stats, depth: int, hook):
         if outcome is None:
             # Every peak value is finite: they become the view's shift.
             shift = [-x for x in values] if flip else values
-            acc = [a + s for a, s in zip(acc, shift)]
+            acc = shift if acc is None else [a + s for a, s in zip(acc, shift)]
             stats.potential_reductions += 1
             stats.recursive_calls += 1
             continue
@@ -406,7 +406,7 @@ def _frame(view: tuple, cfg: SolverConfig, stats: Stats, depth: int, hook):
             sides, phi = [-s for s in sides], [-x for x in phi]
         if full:
             _assert_certificate(g, None, phi, sides)
-        return sides, [a + p for a, p in zip(acc, phi)]
+        return sides, phi if acc is None else [a + p for a, p in zip(acc, phi)]
 
 
 def _drive(g: Game, cfg: SolverConfig, stats: Stats, hook):
@@ -453,8 +453,9 @@ def derive_strategies(g: Game, sides, phi) -> tuple:
     """
     owners, out, edst, ew = g.owners, g.out, g.edst, g.eweight
     strategy = [-1] * len(sides)
+    MIN = Player.MIN
     for v, side in enumerate(sides):
-        if (owners[v] is Player.MIN) != (side > 0):
+        if (owners[v] is MIN) != (side > 0):
             continue
         pv = phi[v]
         best = None
@@ -552,6 +553,7 @@ def solve_values(g: Game, cfg: SolverConfig | None = None) -> ValueResult:
     # Reduced (numerator, denominator) pairs: lower[v] <= value(v) <= upper[v].
     lower = [(-w_bound, 1)] * n
     upper = [(w_bound, 1)] * n
+    modes = {mode: replace(cfg, threshold_mode=mode) for mode in ThresholdMode}
 
     def probe(verts: tuple, p: int, q: int, mode: ThresholdMode) -> tuple:
         """Threshold ``sides`` of the band ``verts``, which is sorted; tightens bounds.
@@ -570,7 +572,7 @@ def solve_values(g: Game, cfg: SolverConfig | None = None) -> ValueResult:
         """
         band = g if len(verts) == n else restrict(g, verts)
         scaled = band.with_weights([q * w - p for w in band.eweight])
-        res = solve_threshold(scaled, replace(cfg, threshold_mode=mode))
+        res = solve_threshold(scaled, modes[mode])
         sides = res.sides
         strict = mode is ThresholdMode.STRICT
 
@@ -659,7 +661,11 @@ def _cycle_mean_bounds(g: Game, region: Iterable, strategy: dict, upper: bool) -
 
     Weights are negated for Min, so the work is always a maximum, found by
     Howard's policy iteration in integers.  A policy picks one successor per
-    vertex; following it, each vertex enters a cycle.  Its gain is that
+    vertex, at first its first edge of largest (sign-adjusted) weight in
+    ``g.out`` order.  A move below needs a strict gain, so a vertex whose
+    edges never offer one keeps that edge as its ``reply``; the probes of
+    ``solve_values`` follow the replies, so they depend on this rule.
+    Following a policy, each vertex enters a cycle.  Its gain is that
     cycle's reduced mean p/q, and its bias, kept as q * bias, is 0 at the
     cycle's lowest vertex and q*w - p plus the successor's along the policy.
     A round moves each vertex to a successor of strictly larger gain or, if
@@ -676,50 +682,60 @@ def _cycle_mean_bounds(g: Game, region: Iterable, strategy: dict, upper: bool) -
     known (Hansen & Zwick, 2010, give Omega(n^2) rounds).
     """
     verts = sorted(region)
-    index = {v: i for i, v in enumerate(verts)}
-    sign = 1 if upper else -1
-    succ = []
-    for v in verts:
-        edges = (strategy[v],) if v in strategy else g.out[v]
-        try:
-            succ.append([(index[g.edst[e]], sign * g.eweight[e], e) for e in edges])
-        except KeyError:
-            raise SolverInternalError(f"vertex {v} can leave its region") from None
     size = len(verts)
-    policy = [max(edges, key=lambda edge: edge[1]) for edges in succ]
-    choices = [(v, edges) for v, edges in enumerate(succ) if len(edges) > 1]
+    index = dict(zip(verts, range(size))).get
+    sign = 1 if upper else -1
+    out, edst, eweight, fixed = g.out, g.edst, g.eweight, strategy.get
+    policy, choices = [], []
+    for v in verts:
+        played = fixed(v)
+        top, edges = None, []
+        for e in out[v] if played is None else (played,):
+            u = index(edst[e])
+            if u is None:
+                raise SolverInternalError(f"vertex {v} can leave its region")
+            edge = (u, sign * eweight[e], e)
+            edges.append(edge)
+            if top is None or edge[1] > top[1]:
+                top = edge
+        if len(edges) > 1:
+            choices.append((len(policy), edges))
+        policy.append(top)
     while True:
-        # Per vertex: its gain, its bias and its position on the current walk.
-        gain, bias, at = [None] * size, [0] * size, [-1] * size
+        # Per vertex: its gain (False while on the current walk) and its bias.
+        gain, bias = [None] * size, [0] * size
         for root in range(size):
             if gain[root] is not None:
                 continue
             walk, v = [], root
-            while gain[v] is None and at[v] < 0:
-                at[v] = len(walk)
+            while gain[v] is None:
+                gain[v] = False
                 walk.append(v)
                 v = policy[v][0]
-            if gain[v] is None:  # the walk closed a cycle at v
-                cycle = walk[at[v]:]
-                total = sum(policy[u][1] for u in cycle)
+            if gain[v] is False:  # the walk closed a cycle at v
+                start = walk.index(v)
+                cycle = walk[start:]
+                total = sum([policy[u][1] for u in cycle])
                 r = gcd(total, len(cycle))
                 low = cycle.index(min(cycle))
-                gain[cycle[low]] = (total // r, len(cycle) // r)
-                walk[at[v]:] = cycle[low + 1:] + cycle[:low]  # in order after the lowest
+                v = cycle[low]
+                gain[v] = (total // r, len(cycle) // r)
+                walk[start:] = cycle[low + 1:] + cycle[:low]  # in order after the lowest
+            # The walk drains into v, so it takes v's gain (the same tuple).
+            p, q = own = gain[v]
             for u in reversed(walk):
                 x, w, _ = policy[u]
-                p, q = gain[u] = gain[x]
-                bias[u] = q * w - p + bias[x]
+                gain[u], bias[u] = own, q * w - p + bias[x]
         moved = False
         for v, edges in choices:
             p, q = own = top = gain[v]
             best, choice = bias[v], None
             for edge in edges:
                 u, w, _ = edge
-                x, y = gain[u]
-                if x * top[1] > top[0] * y:
-                    top, choice = gain[u], edge
-                elif top is own and gain[u] == own and q * w - p + bias[u] > best:
+                x = gain[u]
+                if x is not own and x[0] * top[1] > top[0] * x[1]:
+                    top, choice = x, edge
+                elif top is own and x == own and q * w - p + bias[u] > best:
                     best, choice = q * w - p + bias[u], edge
             if choice is not None:
                 policy[v], moved = choice, True

@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +47,8 @@ from conftest import G3_TEXT, G5_TEXT, small_corpus
 from peak_oracles import brute_force_supsigma
 
 FULL = SolverConfig(assertions=AssertLevel.FULL)
+OPTS = dict(opt_init=True, opt_bulk=True, remember_potentials=True)
+TAILS = Path(__file__).parent / "tails"
 # Today's default search, named by the tests that pin the work it does, so
 # that their counts keep their meaning if ``SolverConfig()`` changes.
 BASELINE = SolverConfig(
@@ -739,6 +742,21 @@ class TestCycleMeanBounds:
             assert dict(bounds) == {v: (x.numerator, x.denominator) for v, x in want.items()}
             assert len({want[v] for v in range(first, first + size)}) > 2
 
+    @pytest.mark.parametrize("fixed", list(Player), ids=lambda p: p.value)
+    def test_tied_edges_keep_the_lower_edge_id(self, fixed):
+        # Vertex 0 of the free player has two edges of equal largest weight
+        # into self-loops of equal gain, so no round moves it: its reply is
+        # its initial edge, the first of largest weight, edge 0 (into vertex
+        # 2, not the lower vertex 1).  The probes of solve_values follow the
+        # replies, so they depend on this rule.
+        free = Player.MAX if fixed is Player.MIN else Player.MIN
+        sign = 1 if free is Player.MAX else -1
+        edges = [(0, 2, 5), (0, 1, 5), (0, 1, 4), (1, 1, 2), (2, 2, 2)]
+        g = Game([free, fixed, fixed], [(v, u, sign * w) for v, u, w in edges])
+        bounds, reply = _cycle_mean_bounds(g, range(3), {1: 3, 2: 4}, free is Player.MAX)
+        assert bounds == [(v, (2 * sign, 1)) for v in range(3)]
+        assert reply == {0: 0}
+
 
 class TestDeriveStrategies:
     def test_min_strategy_example(self, g3):
@@ -915,6 +933,64 @@ class TestWorkCounters:
         stats = solve_threshold(g, cfg).stats
         assert stats.recursive_calls == 47
         assert len(calls) == 30
+
+
+def tail_game(name: str) -> Game:
+    """A committed game from ``tests/tails``, on which some configuration is slow."""
+    return parse_game((TAILS / f"{name}.mpg").read_bytes())
+
+
+class TestTailFences:
+    """Frame bounds on games where a configuration has taken seconds to
+    minutes.  Each bound is about twice the frames counted when it was set,
+    so a change that brings a tail back fails here; the counts are in the
+    comments.  Without the three optimisations the threshold games took
+    14.7 s, 27 s and more than 120 s, so they are never solved that way here.
+    """
+
+    POLICIES = (Policy.LARGER_ZONE, Policy.ALWAYS_P, Policy.SMALLER_ZONE)
+    # Game -> bound on frames (recursive_calls - potential_reductions) per
+    # policy above, each with all three optimisations.
+    FRAMES = {
+        "uniform-n100-seed4": (80, 80, 160),  # 40, 39, 80
+        "layered-n71-seed78": (6, 8, 92),  # 3, 4, 46
+        "cycle-heavy-n72-seed113": (60, 50, 2700),  # 29, 23, 1337
+    }
+
+    @pytest.mark.parametrize("name", sorted(FRAMES))
+    def test_threshold_frames(self, name):
+        g = tail_game(name)
+        for policy, bound in zip(self.POLICIES, self.FRAMES[name]):
+            stats = solve_threshold(g, SolverConfig(policy=policy, **OPTS)).stats
+            assert stats.recursive_calls - stats.potential_reductions <= bound, policy
+
+    def test_values_frames_and_values(self, monkeypatch):
+        # 29 frames over 2 probes under LARGER_ZONE; ALWAYS_P took 20,629
+        # frames (2.8-3.2 s) and SMALLER_ZONE 915,562 (112-129 s), both with opts.
+        g = tail_game("values-cycle-heavy-n300-seed2")
+        cfg = SolverConfig(policy=Policy.LARGER_ZONE, **OPTS)
+        frames = []
+        real = solver_module.solve_threshold
+
+        def counted(game, cfg=None, **kwargs):
+            res = real(game, cfg, **kwargs)
+            frames.append(res.stats.recursive_calls - res.stats.potential_reductions)
+            return res
+
+        monkeypatch.setattr(solver_module, "solve_threshold", counted)
+        values = solve_values(g, cfg).by_vertex
+        assert sum(frames) <= 60
+        # Value p/q exactly: "value <= p/q" (WEAK) puts the vertex on Min's
+        # side of q*w - p, and "value < p/q" (STRICT) on Max's.
+        for x in set(values):
+            scaled = g.with_weights([x.denominator * w - x.numerator for w in g.eweight])
+            weak, strict = (
+                real(scaled, dataclasses.replace(cfg, threshold_mode=mode)).sides
+                for mode in (ThresholdMode.WEAK, ThresholdMode.STRICT)
+            )
+            for v, value in enumerate(values):
+                if value == x:
+                    assert weak[v] > 0 and strict[v] < 0, (v, x)
 
 
 def run_frame(view, cfg):
